@@ -5,14 +5,11 @@
 //! overhead experiments (paper Figs. 9–10) report multi-day CPU-analysis
 //! times without actually waiting for them.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in virtual time, in nanoseconds since simulation start.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

@@ -9,10 +9,9 @@
 
 use crate::device::DeviceSpec;
 use crate::kernel::KernelDesc;
-use serde::{Deserialize, Serialize};
 
 /// All tunable timing constants of the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Host-side cost of any runtime API call (ns).
     pub host_api_overhead_ns: u64,

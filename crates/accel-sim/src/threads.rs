@@ -1,7 +1,7 @@
 //! Thread-budget resolution shared by every pooled surface.
 //!
 //! The `0 = available parallelism` rule appears on every knob of
-//! `ParallelConfig` (lane pool, merge plan, drain workers). It used to be
+//! `ParallelConfig` (lane pool, merge plan). It used to be
 //! re-implemented privately by each consumer, which is exactly how such a
 //! rule drifts; this is now the one copy (`pasta_core::merge` and
 //! `dl_framework::lane_exec` both delegate here).

@@ -12,12 +12,6 @@
 //! * `coarse/launch-events` — host-path kernel-launch events through the
 //!   shared hub, the baseline coarse path.
 //!
-//! ISSUE 8 adds the spine dimension: `fine/device-tool` now rides the
-//! default SPSC ring spine, `fine/device-tool-inline` pins the mutex
-//! reference, and the `contended/*` family offers the same
-//! fully-subscribed stream from 2–4 emitter threads into the single
-//! shard, ring vs. mutex, to price emission under contention.
-//!
 //! Numbers land in `BENCH_event_path.json`; run with
 //! `cargo bench -p pasta-bench --bench event_path`.
 
@@ -29,7 +23,6 @@ use accel_sim::{
 use criterion::{criterion_group, criterion_main, Criterion};
 use pasta_core::hub::{new_shared, HubSink};
 use pasta_core::processor::EventProcessor;
-use pasta_core::spine::{SpineConfig, SpineMode};
 use pasta_core::tool::{Interest, LaunchCounter, Tool};
 use pasta_core::Event;
 
@@ -144,76 +137,6 @@ fn fine_device_tool(c: &mut Criterion) {
     bench_fine(c, "device-tool", device_tool_processor);
 }
 
-/// The mutex-spine reference for the same fully-subscribed stream:
-/// every 256-event flush drains inline under the shard lock.
-fn fine_device_tool_inline(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fine");
-    g.sample_size(200);
-    let hub = new_shared(device_tool_processor());
-    let mut sink = HubSink::inline_spine(std::sync::Arc::clone(&hub));
-    let mut launch = 0u64;
-    g.bench_function("device-tool-inline", |b| {
-        b.iter(|| {
-            drive_launch(&mut sink, launch);
-            launch += 1;
-        })
-    });
-    g.finish();
-}
-
-/// `emitters` threads, each with its own sink, offering the
-/// fully-subscribed stream to the one shard concurrently. On the mutex
-/// spine every flush convoys on the shard lock; on the ring spine each
-/// sink pushes to its own SPSC ring and only the backpressure fallback
-/// touches the lock.
-fn bench_contended(c: &mut Criterion, emitters: u32, mode: SpineMode) {
-    let mut g = c.benchmark_group("contended");
-    g.sample_size(30);
-    let hub = new_shared(device_tool_processor());
-    let label = format!(
-        "{emitters}emit-{}",
-        if mode == SpineMode::Ring {
-            "ring"
-        } else {
-            "mutex"
-        }
-    );
-    let mut iter = 0u64;
-    g.bench_function(&label, |b| {
-        b.iter(|| {
-            std::thread::scope(|scope| {
-                for e in 0..emitters {
-                    let hub = std::sync::Arc::clone(&hub);
-                    let launch = iter * u64::from(emitters) + u64::from(e);
-                    scope.spawn(move || {
-                        let mut sink = HubSink::with_spine(hub, mode, SpineConfig::default());
-                        drive_launch(&mut sink, launch);
-                    });
-                }
-            });
-            hub.quiesce();
-            iter += 1;
-        })
-    });
-    g.finish();
-}
-
-fn contended_two_emitters_ring(c: &mut Criterion) {
-    bench_contended(c, 2, SpineMode::Ring);
-}
-
-fn contended_two_emitters_mutex(c: &mut Criterion) {
-    bench_contended(c, 2, SpineMode::Inline);
-}
-
-fn contended_four_emitters_ring(c: &mut Criterion) {
-    bench_contended(c, 4, SpineMode::Ring);
-}
-
-fn contended_four_emitters_mutex(c: &mut Criterion) {
-    bench_contended(c, 4, SpineMode::Inline);
-}
-
 fn coarse_launch_events(c: &mut Criterion) {
     let mut g = c.benchmark_group("coarse");
     g.sample_size(200);
@@ -244,11 +167,6 @@ criterion_group!(
     fine_no_tools,
     fine_coarse_tool,
     fine_device_tool,
-    fine_device_tool_inline,
-    coarse_launch_events,
-    contended_two_emitters_ring,
-    contended_two_emitters_mutex,
-    contended_four_emitters_ring,
-    contended_four_emitters_mutex
+    coarse_launch_events
 );
 criterion_main!(event_path);

@@ -26,20 +26,6 @@
 //!   therefore `max(A, 2B) / A`, from single-threaded, deterministic
 //!   measurements. The acceptance gate (≥ 1.5x) reads this ratio.
 //!
-//! ISSUE 8 adds the spine dimension:
-//!
-//! * `contended/*` — 2 devices × {2,4} emitter threads per device, ring
-//!   spine (with background [`SpineDrainer`]s, as `run_parallel`
-//!   schedules them) vs. the mutex spine where every flush drains inline
-//!   under the shard lock. Wall-clock; ties on a 1-CPU container.
-//! * `per-device/full-launch-ring` — `A_ring`: the complete per-launch
-//!   cost through the ring spine with no consumer, so the producer-side
-//!   backpressure fallback performs every drain itself. `A_ring − B` is
-//!   the emitter's critical-path cost `E` once a consumer takes the
-//!   drain: the decomposition the contended acceptance ratio reads.
-//! * `spine/ring-hop` vs `spine/mutex-hop` — the raw per-message cost of
-//!   the SPSC handoff against a lock round-trip on the same payload.
-//!
 //! Numbers land in `BENCH_multi_device.json`; run with
 //! `cargo bench -p pasta-bench --bench multi_device`.
 //!
@@ -52,7 +38,6 @@ use accel_sim::{
 use criterion::{criterion_group, criterion_main, Criterion};
 use pasta_core::hub::{new_shared, Hub, HubSink, SharedHub};
 use pasta_core::processor::EventProcessor;
-use pasta_core::spine::{EventRing, SpineConfig, SpineDrainer, SpineMode, SpineMsg};
 use pasta_core::{Event, EventClass};
 use pasta_tools::{
     BarrierStallTool, HotnessTool, KernelFrequencyTool, MemoryCharacteristicsTool, OpKernelMapTool,
@@ -186,14 +171,14 @@ fn four_device_single_mutex(c: &mut Criterion) {
     bench_topology(c, "4dev-single-mutex", new_shared(processor()), 4);
 }
 
-/// `A`: one device's complete per-launch cost through the real sink on
-/// the mutex spine (event construction + buffering outside the lock,
-/// batched drain under it).
+/// `A`: one device's complete per-launch cost through the real sink
+/// (event construction + buffering outside the lock, batched drain under
+/// it).
 fn per_device_full_launch(c: &mut Criterion) {
     let mut g = c.benchmark_group("per-device");
     g.sample_size(200);
     let hub = sharded_hub(1);
-    let mut sink = HubSink::inline_spine(Arc::clone(&hub));
+    let mut sink = HubSink::new(Arc::clone(&hub));
     let mut launch = 0u64;
     g.bench_function("full-launch", |b| {
         b.iter(|| {
@@ -202,135 +187,6 @@ fn per_device_full_launch(c: &mut Criterion) {
         })
     });
     g.finish();
-}
-
-/// `A_ring`: the same launch through the ring spine with nobody
-/// draining, so the producer-side backpressure fallback performs every
-/// drain itself. Total work matches `A`; the difference is pure spine
-/// overhead, and `A_ring − B` is the emitter's critical path `E` once a
-/// consumer owns the drain.
-fn per_device_full_launch_ring(c: &mut Criterion) {
-    let mut g = c.benchmark_group("per-device");
-    g.sample_size(200);
-    let hub = sharded_hub(1);
-    let mut sink = HubSink::with_spine(Arc::clone(&hub), SpineMode::Ring, SpineConfig::default());
-    let mut launch = 0u64;
-    g.bench_function("full-launch-ring", |b| {
-        b.iter(|| {
-            drive_launch(&mut sink, 0, launch);
-            launch += 1;
-        })
-    });
-    g.finish();
-}
-
-/// The raw SPSC handoff: push one realistic control message and pop it
-/// back, same thread. Prices the spine hop with no processing attached.
-fn spine_ring_hop(c: &mut Criterion) {
-    let mut g = c.benchmark_group("spine");
-    g.sample_size(200);
-    let ring = EventRing::with_config(&SpineConfig::default());
-    g.bench_function("ring-hop", |b| {
-        b.iter(|| {
-            for i in 0..1024u64 {
-                let msg = SpineMsg::One(Event::Barrier {
-                    launch: LaunchId(0),
-                    count: i,
-                    cluster: false,
-                });
-                assert!(ring.push(msg).is_ok());
-                assert!(ring.pop().is_some());
-            }
-        })
-    });
-    g.finish();
-}
-
-/// The same payload through a `parking_lot` mutex round-trip — what the
-/// inline spine pays per flush before any processing happens.
-fn spine_mutex_hop(c: &mut Criterion) {
-    let mut g = c.benchmark_group("spine");
-    g.sample_size(200);
-    let slot = parking_lot::Mutex::new(Vec::with_capacity(1));
-    g.bench_function("mutex-hop", |b| {
-        b.iter(|| {
-            for i in 0..1024u64 {
-                let msg = SpineMsg::One(Event::Barrier {
-                    launch: LaunchId(0),
-                    count: i,
-                    cluster: false,
-                });
-                slot.lock().push(msg);
-                assert!(slot.lock().pop().is_some());
-            }
-        })
-    });
-    g.finish();
-}
-
-/// 2 devices × `emitters` threads per device: more sinks than shards, the
-/// regime the ring spine targets. Ring configs run the same background
-/// drainers `run_parallel` schedules; the final quiesce (inside the
-/// timed region, for losslessness) drains whatever the drainers missed.
-fn bench_contended(c: &mut Criterion, emitters: u32, mode: SpineMode) {
-    let mut g = c.benchmark_group("contended");
-    g.sample_size(20);
-    let devices = 2u32;
-    let hub = sharded_hub(devices);
-    let device_ids: Vec<DeviceId> = (0..devices).map(DeviceId).collect();
-    let label = format!(
-        "2dev-{emitters}emit-{}",
-        if mode == SpineMode::Ring {
-            "ring"
-        } else {
-            "mutex"
-        }
-    );
-    let mut iter = 0u64;
-    g.bench_function(&label, |b| {
-        b.iter(|| {
-            let drainer = (mode == SpineMode::Ring)
-                .then(|| SpineDrainer::start(Arc::clone(&hub), &device_ids));
-            std::thread::scope(|scope| {
-                for d in 0..devices {
-                    for e in 0..emitters {
-                        let hub = Arc::clone(&hub);
-                        let launch = (iter * u64::from(devices * emitters)
-                            + u64::from(d * emitters + e))
-                            * LAUNCHES_PER_ITER;
-                        scope.spawn(move || {
-                            let mut sink = HubSink::with_spine(hub, mode, SpineConfig::default());
-                            for l in 0..LAUNCHES_PER_ITER {
-                                drive_launch(&mut sink, d, launch + l);
-                            }
-                        });
-                    }
-                }
-            });
-            if let Some(drainer) = drainer {
-                drainer.stop();
-            }
-            hub.quiesce();
-            iter += 1;
-        })
-    });
-    g.finish();
-}
-
-fn contended_two_emitters_ring(c: &mut Criterion) {
-    bench_contended(c, 2, SpineMode::Ring);
-}
-
-fn contended_two_emitters_mutex(c: &mut Criterion) {
-    bench_contended(c, 2, SpineMode::Inline);
-}
-
-fn contended_four_emitters_ring(c: &mut Criterion) {
-    bench_contended(c, 4, SpineMode::Ring);
-}
-
-fn contended_four_emitters_mutex(c: &mut Criterion) {
-    bench_contended(c, 4, SpineMode::Inline);
 }
 
 /// `B`: the under-lock portion of the same launch — exactly the calls
@@ -399,13 +255,6 @@ criterion_group!(
     four_device_sharded,
     four_device_single_mutex,
     per_device_full_launch,
-    per_device_full_launch_ring,
-    per_device_drain_under_lock,
-    spine_ring_hop,
-    spine_mutex_hop,
-    contended_two_emitters_ring,
-    contended_two_emitters_mutex,
-    contended_four_emitters_ring,
-    contended_four_emitters_mutex
+    per_device_drain_under_lock
 );
 criterion_main!(multi_device);

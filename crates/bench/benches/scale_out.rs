@@ -157,7 +157,7 @@ fn bench_pool(c: &mut Criterion, lanes: u32) {
     for workers in [1usize, 2, 4, 8] {
         g.bench_function(format!("pooled-{lanes}-w{workers}"), |b| {
             b.iter(|| {
-                let results = lane_exec::run_pool(workers, pool_tasks(lanes), None).results;
+                let results = lane_exec::run_pool(workers, pool_tasks(lanes)).results;
                 let acc = results
                     .into_iter()
                     .map(|r| r.expect("lane ok"))

@@ -10,11 +10,10 @@ use accel_sim::DeviceSpec;
 use dl_framework::models::{ModelZoo, RunKind};
 use pasta_core::{Pasta, PastaError, UvmSetup};
 use pasta_tools::UvmPrefetchAdvisor;
-use serde::{Deserialize, Serialize};
 use uvm_sim::PrefetchGranularity;
 
 /// One model × device × oversubscription measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PrefetchResult {
     /// Model abbreviation.
     pub model: String,

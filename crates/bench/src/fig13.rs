@@ -5,11 +5,10 @@ use crate::scale::ExpScale;
 use dl_framework::models::{ModelZoo, RunKind};
 use pasta_core::{Pasta, PastaError};
 use pasta_tools::HotnessTool;
-use serde::{Deserialize, Serialize};
 use uvm_sim::HotnessSeries;
 
 /// The Fig. 13 data: the series plus derived classifications.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HotnessResult {
     /// Dense (block × time-bin) matrix.
     pub series: HotnessSeries,

@@ -7,10 +7,9 @@ use accel_sim::DeviceId;
 use dl_framework::models::{ModelZoo, RunKind};
 use pasta_core::{Pasta, PastaError};
 use pasta_tools::{MemoryTimelineTool, TimelinePoint};
-use serde::{Deserialize, Serialize};
 
 /// One backend's curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BackendCurve {
     /// `NVIDIA` / `AMD`.
     pub backend: String,
@@ -23,7 +22,7 @@ pub struct BackendCurve {
 }
 
 /// The Fig. 14 result pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig14Result {
     /// NVIDIA curve.
     pub nvidia: BackendCurve,

@@ -5,10 +5,9 @@ use crate::scale::ExpScale;
 use dl_framework::models::{ModelZoo, RunKind};
 use pasta_core::{Pasta, PastaError};
 use pasta_tools::KernelFrequencyTool;
-use serde::{Deserialize, Serialize};
 
 /// Frequencies of one (model, run-kind) pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FreqResult {
     /// Model abbreviation.
     pub model: String,

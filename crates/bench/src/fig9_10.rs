@@ -19,7 +19,6 @@ use accel_sim::{DeviceSpec, OverheadBreakdown};
 use dl_framework::models::{ModelZoo, RunKind};
 use pasta_core::{BackendChoice, Pasta, PastaError};
 use pasta_tools::MemoryCharacteristicsTool;
-use serde::{Deserialize, Serialize};
 use vendor_nv::nvbit::NvbitConfig;
 use vendor_nv::sanitizer::SanitizerConfig;
 
@@ -27,7 +26,7 @@ use vendor_nv::sanitizer::SanitizerConfig;
 pub const CUTOFF_NS: u64 = 7 * 24 * 3600 * 1_000_000_000;
 
 /// The three analysis variants of Fig. 9.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// GPU-resident Compute Sanitizer (PASTA's design).
     CsGpu,
@@ -62,7 +61,7 @@ impl Variant {
 }
 
 /// One measurement: model × device × variant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OverheadResult {
     /// Model abbreviation.
     pub model: String,

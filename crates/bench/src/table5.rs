@@ -5,10 +5,9 @@ use dl_framework::models::{ModelZoo, RunKind};
 use pasta_core::{Pasta, PastaError};
 use pasta_tools::memchar::{MemoryCharacteristics, MemoryCharacteristicsTool};
 use pasta_tools::util::format_bytes;
-use serde::{Deserialize, Serialize};
 
 /// One Table V row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableVRow {
     /// Model abbreviation.
     pub model: String,

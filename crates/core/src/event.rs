@@ -13,10 +13,9 @@ use accel_sim::{
 use dl_framework::callbacks::Pass;
 use dl_framework::pycall::PyFrame;
 use dl_framework::tensor::TensorId;
-use serde::{Deserialize, Serialize};
 
 /// Broad event classes, used for interest declarations and filtering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventClass {
     /// Driver/runtime API enter-exit events.
     HostApi,
@@ -66,7 +65,7 @@ impl EventClass {
 }
 
 /// A normalized runtime event (paper Table II).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     // --- Coarse-grained host-called API events ---------------------------
     /// Any driver-level API function ("All Driver Functions").
@@ -599,13 +598,11 @@ mod tests {
 
     #[test]
     fn symbol_events_round_trip_through_serialized_names() {
-        // The offline serde shim is marker-only (no wire format exists in
-        // this environment), so the round-trip a real serializer would do —
-        // Symbol → string → re-interned Symbol on deserialization — is
-        // exercised directly: detaching the name to a plain String and
-        // re-interning must reconstruct an equal event, and symbols that
-        // went through the "wire" must dedup back to the original
-        // allocation.
+        // The round-trip any name-carrying wire format does — Symbol →
+        // string → re-interned Symbol on decode — exercised directly:
+        // detaching the name to a plain String and re-interning must
+        // reconstruct an equal event, and symbols that went through the
+        // "wire" must dedup back to the original allocation.
         let original = Event::KernelLaunchEnd {
             launch: LaunchId(3),
             device: DeviceId(0),

@@ -32,38 +32,47 @@
 //!    control events — no tool observes a barrier "before" the accesses
 //!    of its own flush window.
 //! 4. **Batched flushes** — a full buffer (or kernel end) spills the
-//!    whole window at once instead of handing off event-by-event.
-//! 5. **The lock-free spine** ([`crate::spine`]) — in the default
-//!    [`SpineMode::Ring`], a spill *pushes* the batch onto a bounded SPSC
-//!    ring instead of running tool dispatch under the shard mutex; the
-//!    shard side (a background [`crate::spine::SpineDrainer`], a
-//!    backpressured producer, or the next harvest) drains it off the
-//!    emission critical path. [`SpineMode::Inline`] keeps the historical
-//!    drain-under-lock behaviour as the differential reference. Every
-//!    acquisition through [`DeviceShard::lock`] drains pending rings
-//!    first, so reports, recorders and resets observe every pushed event
-//!    exactly once — [`Hub::quiesce`] is the explicit entry point.
+//!    whole window at once under one shard lock instead of handing off
+//!    event-by-event.
+//!
+//! There is one event spine: a spill drains into the bound shard's
+//! `EventProcessor` under its lock, on the emission path. Emitters on
+//! different devices hold different locks, so they never contend. The
+//! one exception is a sink dropped while its thread unwinds from a panic:
+//! running tool code mid-unwind would abort the process on a second
+//! panic, so the sink *parks* its partial buffers on the shard instead
+//! and runs nothing. The next [`DeviceShard::lock`] (every report,
+//! recorder and reset path) or [`Hub::quiesce`] processes them, so a
+//! panicked lane's tail still reaches the salvaged report.
 //!
 //! [`Symbol`]: accel_sim::Symbol
 
 use crate::event::{Event, EventClass};
 use crate::processor::EventProcessor;
 use crate::report::{MergedReport, ToolQuarantine, ToolReport};
-use crate::spine::{EventRing, ShardSpine, SpineConfig, SpineMode, SpineMsg};
 use crate::tool::Tool;
 use accel_sim::instrument::{DeviceTraceSink, TraceCtx};
 use accel_sim::{AccessBatch, DeviceId, KernelTraceSummary, LaunchId, MemSpace, ProbeConfig};
 use dl_framework::pycall::CrossLayerStack;
 use parking_lot::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+/// Events a [`HubSink`] buffers per class before it flushes.
+const FLUSH_EVENTS: usize = 256;
+
 /// One device's slice of the hub: its event processor behind its own
-/// lock, plus the spine registry of SPSC rings feeding it.
+/// lock, plus the spill buffers parked by sinks dropped mid-panic.
 #[derive(Debug)]
 pub struct DeviceShard {
     device: DeviceId,
     processor: Mutex<EventProcessor>,
-    spine: ShardSpine,
+    /// Spill buffers a [`HubSink`] handed over while its thread unwound
+    /// from a panic, in park order. Processed by the next lock.
+    parked: Mutex<Vec<(EventClass, Vec<Event>)>>,
+    /// True while `parked` is non-empty (only written under its lock), so
+    /// the common lock with nothing parked skips the second mutex.
+    has_parked: AtomicBool,
 }
 
 impl DeviceShard {
@@ -71,7 +80,8 @@ impl DeviceShard {
         DeviceShard {
             device,
             processor: Mutex::new(processor),
-            spine: ShardSpine::default(),
+            parked: Mutex::new(Vec::new()),
+            has_parked: AtomicBool::new(false),
         }
     }
 
@@ -80,38 +90,41 @@ impl DeviceShard {
         self.device
     }
 
-    /// Locks this shard's processor, draining any spine messages queued
-    /// by ring-mode sinks first — the guard therefore always observes a
-    /// state that includes every event pushed before the acquisition
-    /// (the exactly-once contract for reports and recorders).
+    /// Locks this shard's processor, processing any parked spill buffers
+    /// first — the guard therefore always observes every event a sink
+    /// handed to this shard before the acquisition.
     pub fn lock(&self) -> MutexGuard<'_, EventProcessor> {
         let mut guard = self.processor.lock();
-        self.spine.drain(&mut guard);
+        self.process_parked(&mut guard);
         guard
     }
 
-    /// Locks without draining — for reads that depend only on state the
-    /// spine cannot carry (probe configs: region events arrive on the
-    /// host path, which drains synchronously). Keeps per-launch gate
-    /// reads off the drain path.
-    pub(crate) fn lock_raw(&self) -> MutexGuard<'_, EventProcessor> {
-        self.processor.lock()
-    }
-
-    /// Opportunistically drains this shard's rings: a no-op (returning 0)
-    /// when someone else holds the processor lock — they will drain.
-    /// Returns the number of events drained. The [`crate::spine::SpineDrainer`]
-    /// heartbeat.
-    pub fn try_drain(&self) -> u64 {
-        match self.processor.try_lock() {
-            Some(mut guard) => self.spine.drain(&mut guard),
-            None => 0,
+    /// Processes the parked spill buffers into `processor`, whose lock
+    /// the caller holds. Returns the number of events processed.
+    fn process_parked(&self, processor: &mut EventProcessor) -> u64 {
+        if !self.has_parked.load(Ordering::Acquire) {
+            return 0;
         }
+        let batches = {
+            let mut parked = self.parked.lock();
+            self.has_parked.store(false, Ordering::Release);
+            std::mem::take(&mut *parked)
+        };
+        batches
+            .iter()
+            .map(|(class, events)| {
+                processor.process_class_batch(*class, events);
+                events.len() as u64
+            })
+            .sum()
     }
 
-    /// Registers a sink's ring as feeding this shard.
-    pub(crate) fn register_ring(&self, ring: Arc<EventRing>) {
-        self.spine.register(ring);
+    /// Parks a spill buffer for the next lock without running any tool
+    /// code — the handoff a sink uses while its thread is panicking.
+    fn park(&self, class: EventClass, events: Vec<Event>) {
+        let mut parked = self.parked.lock();
+        parked.push((class, events));
+        self.has_parked.store(true, Ordering::Release);
     }
 }
 
@@ -223,15 +236,13 @@ impl Hub {
             .unwrap_or(&self.shards[0])
     }
 
-    /// Locks the shard serving `device`, draining its pending spine
-    /// messages first (see [`DeviceShard::lock`]).
+    /// Locks the shard serving `device` (see [`DeviceShard::lock`]).
     pub fn lock_device(&self, device: DeviceId) -> MutexGuard<'_, EventProcessor> {
         self.shard_for(device).lock()
     }
 
     /// Locks the primary (lowest-device) shard — where deviceless state
-    /// like builder-registered tool instances lives. Drain-first like
-    /// every shard lock, so the guard's view is quiescent.
+    /// like builder-registered tool instances lives.
     pub fn primary(&self) -> MutexGuard<'_, EventProcessor> {
         self.shards[0].lock()
     }
@@ -261,27 +272,18 @@ impl Hub {
         }
     }
 
-    /// Drains every shard's pending spine messages into its processor —
-    /// the documented quiescent-drain entry point for harvesting and
-    /// reset paths. Returns the number of events drained.
+    /// Processes every shard's parked spill buffers — the explicit
+    /// quiescent point for harvesting and reset paths. Returns the number
+    /// of parked events processed.
     ///
-    /// Callers rarely need this explicitly: every shard-lock acquisition
-    /// through [`DeviceShard::lock`] (and therefore every report, knob,
-    /// stack, recorder and reset path on the hub) drains first, so those
-    /// views are quiescent by construction. Call `quiesce` directly when
-    /// pending ring-mode events must become visible *without* taking any
-    /// further action — e.g. before comparing `events_processed` across
-    /// hubs, or after a parallel region whose drainers were stopped.
-    ///
-    /// Events pushed before this call are processed when it returns;
-    /// producers still running may of course push more afterwards.
+    /// Callers rarely need this: every lock through [`DeviceShard::lock`]
+    /// (and therefore every report, knob, stack, recorder and reset path
+    /// on the hub) processes them first. Only a sink dropped during a
+    /// panic unwind parks anything, so a run that saw no panic returns 0.
     pub fn quiesce(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| {
-                let mut guard = s.processor.lock();
-                s.spine.drain(&mut guard)
-            })
+            .map(|s| s.process_parked(&mut s.processor.lock()))
             .sum()
     }
 
@@ -565,24 +567,11 @@ impl LaunchGate {
 ///
 /// A sink binds to its launch's device shard at kernel begin; everything
 /// it buffers reaches that shard. Per-device profilers (one per parallel
-/// lane) therefore emit into disjoint shards and never contend.
-///
-/// In the default [`SpineMode::Ring`] the sink owns one SPSC
-/// [`EventRing`] per device it has visited: spills *push* onto the
-/// bound device's ring and return, leaving tool dispatch to the shard
-/// side. A full ring (or an empty buffer pool) triggers the lossless
-/// backpressure path — the sink takes the shard lock, which drains every
-/// pending ring (its own older messages first), and processes the
-/// overflow inline. [`SpineMode::Inline`] reproduces the pre-spine
-/// behaviour: spills drain under the shard lock on the emission path.
-/// Both modes cut batches at identical stream offsets and deliver the
-/// identical event sequence to the shard's processor, which is what the
-/// ring-vs-inline byte-identity suites pin.
+/// lane) therefore emit into disjoint shards and never contend. Spills
+/// drain under the bound shard's lock before the emitting call returns.
 #[derive(Debug)]
 pub struct HubSink {
     hub: SharedHub,
-    mode: SpineMode,
-    config: SpineConfig,
     /// [`EventClass::DeviceAccess`] spill buffer (emission order).
     access_buf: Vec<Event>,
     /// [`EventClass::DeviceControl`] spill buffer (emission order).
@@ -590,38 +579,17 @@ pub struct HubSink {
     gate: Option<LaunchGate>,
     /// Device whose shard the buffered events belong to.
     bound: DeviceId,
-    /// Ring per visited device (ring mode; lazily created and registered
-    /// with the device's shard). Sinks visit at most a handful of
-    /// devices, so a linear scan beats a map here.
-    rings: Vec<(DeviceId, Arc<EventRing>)>,
 }
 
 impl HubSink {
-    /// Creates a sink feeding `hub` over the default ring spine.
+    /// Creates a sink feeding `hub`.
     pub fn new(hub: SharedHub) -> Self {
-        Self::with_spine(hub, SpineMode::Ring, SpineConfig::default())
-    }
-
-    /// Creates a sink that drains under the shard lock on the emission
-    /// path — the pre-spine reference used by differential tests and the
-    /// bench decompositions.
-    pub fn inline_spine(hub: SharedHub) -> Self {
-        Self::with_spine(hub, SpineMode::Inline, SpineConfig::default())
-    }
-
-    /// Creates a sink with an explicit spine mode and ring geometry
-    /// (tests shrink the geometry to force wraparound and backpressure).
-    pub fn with_spine(hub: SharedHub, mode: SpineMode, config: SpineConfig) -> Self {
-        let batch = config.batch_events.max(1);
         HubSink {
             hub,
-            mode,
-            config,
-            access_buf: Vec::with_capacity(batch),
-            control_buf: Vec::with_capacity(batch),
+            access_buf: Vec::with_capacity(FLUSH_EVENTS),
+            control_buf: Vec::with_capacity(FLUSH_EVENTS),
             gate: None,
             bound: DeviceId(0),
-            rings: Vec::new(),
         }
     }
 
@@ -630,123 +598,40 @@ impl HubSink {
         self.access_buf.len() + self.control_buf.len()
     }
 
-    /// Hands the spill buffers to the bound shard: access events first,
-    /// control events second, each class through one dispatch-row
-    /// lookup. Ring mode pushes the buffers onto the spine (visible at
-    /// the shard's next drain); inline mode processes them under the
-    /// shard lock before returning.
+    /// Drains the spill buffers into the bound shard under its lock:
+    /// access events first, control events second, each class through
+    /// one dispatch-row lookup.
     pub fn flush(&mut self) {
         if self.access_buf.is_empty() && self.control_buf.is_empty() {
             return;
         }
-        match self.mode {
-            SpineMode::Ring => {
-                self.spill_class(EventClass::DeviceAccess);
-                self.spill_class(EventClass::DeviceControl);
-            }
-            SpineMode::Inline => {
-                let mut processor = self.hub.lock_device(self.bound);
-                drain_buffers(&mut self.access_buf, &mut self.control_buf, &mut processor);
-            }
-        }
-    }
-
-    /// The ring feeding `device`'s shard, created and registered on
-    /// first use.
-    fn ensure_ring(&mut self, device: DeviceId) -> Arc<EventRing> {
-        if let Some((_, ring)) = self.rings.iter().find(|(d, _)| *d == device) {
-            return Arc::clone(ring);
-        }
-        let ring = Arc::new(EventRing::with_config(&self.config));
-        self.hub.shard_for(device).register_ring(Arc::clone(&ring));
-        self.rings.push((device, Arc::clone(&ring)));
-        ring
-    }
-
-    /// Pushes `msg` onto `ring`, applying lossless backpressure on a full
-    /// ring: take the shard lock (the drain-first acquisition empties
-    /// every pending ring — this sink's older messages first, so per-ring
-    /// FIFO holds) and process the overflow inline as the consumer.
-    fn ring_send(&self, ring: &EventRing, msg: SpineMsg) {
-        if let Err(msg) = ring.push(msg) {
-            let mut processor = self.hub.shard_for(self.bound).lock();
-            match msg {
-                SpineMsg::One(event) => processor.process(&event),
-                SpineMsg::Batch(class, events) => {
-                    processor.process_class_batch(class, &events);
-                    // Still holding the shard lock: recycling is a
-                    // consumer-role operation on the free ring.
-                    ring.recycle(events);
-                }
-            }
-        }
-    }
-
-    /// A replacement spill buffer: recycled from the free ring when the
-    /// consumer returned one; otherwise the pool is dry (the shard has
-    /// not drained yet), so self-drain — the lossless backpressure path
-    /// recycles every in-flight buffer — and retry. Allocation is the
-    /// cold last resort (e.g. shrunken test geometries).
-    fn take_or_reclaim_buffer(&self, ring: &EventRing) -> Vec<Event> {
-        if let Some(buf) = ring.take_buffer() {
-            return buf;
-        }
-        drop(self.hub.shard_for(self.bound).lock());
-        ring.take_buffer()
-            .unwrap_or_else(|| Vec::with_capacity(self.config.batch_events.max(1)))
-    }
-
-    /// Ring mode: moves one class's spill buffer onto the bound ring,
-    /// installing a recycled buffer in its place.
-    fn spill_class(&mut self, class: EventClass) {
-        let is_empty = match class {
-            EventClass::DeviceAccess => self.access_buf.is_empty(),
-            _ => self.control_buf.is_empty(),
-        };
-        if is_empty {
-            return;
-        }
-        let ring = self.ensure_ring(self.bound);
-        let replacement = self.take_or_reclaim_buffer(&ring);
-        let full = match class {
-            EventClass::DeviceAccess => std::mem::replace(&mut self.access_buf, replacement),
-            _ => std::mem::replace(&mut self.control_buf, replacement),
-        };
-        self.ring_send(&ring, SpineMsg::Batch(class, full));
-    }
-
-    /// Ring mode: sends a single out-of-band event (launch markers) on
-    /// the bound ring.
-    fn send_one(&mut self, event: Event) {
-        let ring = self.ensure_ring(self.bound);
-        self.ring_send(&ring, SpineMsg::One(event));
+        let mut processor = self.hub.lock_device(self.bound);
+        drain_buffers(&mut self.access_buf, &mut self.control_buf, &mut processor);
     }
 
     fn push_access(&mut self, event: Event) {
         self.access_buf.push(event);
-        if self.access_buf.len() >= self.config.batch_events.max(1) {
+        if self.access_buf.len() >= FLUSH_EVENTS {
             self.flush();
         }
     }
 
     fn push_control(&mut self, event: Event) {
         self.control_buf.push(event);
-        if self.control_buf.len() >= self.config.batch_events.max(1) {
+        if self.control_buf.len() >= FLUSH_EVENTS {
             self.flush();
         }
     }
 
     /// The gate for `ctx`'s launch, recomputed under the shard lock only
     /// when a callback arrives out of band (no preceding
-    /// `on_kernel_begin`). The raw (non-draining) lock suffices: probe
-    /// configs depend only on tool interests and region state, and
-    /// region events arrive on the host path, which drains synchronously.
+    /// `on_kernel_begin`).
     fn gate_for(&mut self, ctx: &TraceCtx) -> LaunchGate {
         match self.gate {
             Some(gate) if gate.launch == ctx.launch && gate.device == ctx.device => gate,
             _ => {
                 self.rebind(ctx.device);
-                let processor = self.hub.shard_for(ctx.device).lock_raw();
+                let processor = self.hub.lock_device(ctx.device);
                 let config = processor.probe_config_for(ctx.launch);
                 let gate = LaunchGate::for_launch(ctx, config, &processor);
                 drop(processor);
@@ -770,36 +655,23 @@ impl HubSink {
 }
 
 impl Drop for HubSink {
-    /// Lossless teardown: partial spill buffers are handed to the spine
-    /// (ring mode) or drained (inline mode) so harvest-time drains still
-    /// observe them — the salvaged-report path for sinks dropped by a
-    /// panicked lane. During a panic unwind only the lock-free pushes
-    /// run: taking the shard lock could execute tool code mid-unwind.
+    /// Lossless teardown: partial spill buffers drain into the bound
+    /// shard. During a panic unwind they are parked on the shard instead
+    /// (processed by its next lock or [`Hub::quiesce`]): draining would
+    /// run tool code mid-unwind. This is the salvaged-report path for
+    /// sinks dropped by a panicking lane.
     fn drop(&mut self) {
-        match self.mode {
-            SpineMode::Ring => {
-                if std::thread::panicking() {
-                    if let Some((_, ring)) = self.rings.iter().find(|(d, _)| *d == self.bound) {
-                        let access = std::mem::take(&mut self.access_buf);
-                        if !access.is_empty() {
-                            let _ = ring.push(SpineMsg::Batch(EventClass::DeviceAccess, access));
-                        }
-                        let control = std::mem::take(&mut self.control_buf);
-                        if !control.is_empty() {
-                            let _ = ring.push(SpineMsg::Batch(EventClass::DeviceControl, control));
-                        }
-                    }
-                } else {
-                    self.flush();
-                }
-                for (_, ring) in &self.rings {
-                    ring.close();
-                }
-            }
-            SpineMode::Inline => {
-                if !std::thread::panicking() {
-                    self.flush();
-                }
+        if !std::thread::panicking() {
+            self.flush();
+            return;
+        }
+        let shard = self.hub.shard_for(self.bound);
+        for (class, buf) in [
+            (EventClass::DeviceAccess, &mut self.access_buf),
+            (EventClass::DeviceControl, &mut self.control_buf),
+        ] {
+            if !buf.is_empty() {
+                shard.park(class, std::mem::take(buf));
             }
         }
     }
@@ -808,27 +680,6 @@ impl Drop for HubSink {
 impl DeviceTraceSink for HubSink {
     fn on_kernel_begin(&mut self, ctx: &TraceCtx) -> ProbeConfig {
         self.rebind(ctx.device);
-        if self.mode == SpineMode::Ring {
-            // Leftovers from a launch whose end never reached us precede
-            // this launch's begin on the ring, preserving cross-launch
-            // order; the gate then reads through the raw lock (probe
-            // configs never depend on spine-carried state).
-            self.flush();
-            self.send_one(Event::KernelLaunchBegin {
-                launch: ctx.launch,
-                device: ctx.device,
-                stream: ctx.stream,
-                name: ctx.name.clone(),
-                grid: ctx.grid,
-                block: ctx.block,
-            });
-            let processor = self.hub.shard_for(ctx.device).lock_raw();
-            let config = processor.probe_config_for(ctx.launch);
-            let gate = LaunchGate::for_launch(ctx, config, &processor);
-            drop(processor);
-            self.gate = Some(gate);
-            return config;
-        }
         let mut processor = self.hub.lock_device(ctx.device);
         // Leftovers from a launch whose end never reached us drain first so
         // cross-launch ordering is preserved.
@@ -901,22 +752,17 @@ impl DeviceTraceSink for HubSink {
     fn on_kernel_end(&mut self, ctx: &TraceCtx, summary: &KernelTraceSummary) {
         // The launch's buffered events precede its trace summary, which
         // always flows (the knob aggregates feed on it even when no tool
-        // subscribed). Ring mode takes no lock here at all in the common
-        // case: spill + push and the emitter is done with the launch.
+        // subscribed).
         self.rebind(ctx.device);
         let trace = Event::KernelTrace {
             launch: ctx.launch,
             kernel: ctx.name.clone(),
             summary: summary.clone(),
         };
-        if self.mode == SpineMode::Ring {
-            self.flush();
-            self.send_one(trace);
-        } else {
-            let mut processor = self.hub.lock_device(ctx.device);
-            drain_buffers(&mut self.access_buf, &mut self.control_buf, &mut processor);
-            processor.process(&trace);
-        }
+        let mut processor = self.hub.lock_device(ctx.device);
+        drain_buffers(&mut self.access_buf, &mut self.control_buf, &mut processor);
+        processor.process(&trace);
+        drop(processor);
         self.gate = None;
     }
 }
@@ -925,6 +771,7 @@ impl DeviceTraceSink for HubSink {
 mod tests {
     use super::*;
     use accel_sim::{AccessKind, AccessPattern, DeviceId, Dim3, LaunchId, Symbol};
+    use std::panic::AssertUnwindSafe;
 
     fn ctx() -> TraceCtx {
         ctx_on(0)
@@ -1117,25 +964,51 @@ mod tests {
         );
     }
 
+    /// Runs one emitter per entry of `streams` against a fresh 2-shard
+    /// hub — all racing on their own threads, or one after another on
+    /// this thread — and returns each emitter's result in stream order.
+    fn run_emitters<R: Send>(
+        racing: bool,
+        streams: usize,
+        emit: impl Fn(&SharedHub, usize) -> R + Sync,
+    ) -> (SharedHub, Vec<R>) {
+        let hub = sharded_hub(2);
+        let out = if racing {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..streams)
+                    .map(|i| {
+                        let (hub, emit) = (&hub, &emit);
+                        scope.spawn(move || emit(hub, i))
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            })
+        } else {
+            (0..streams).map(|i| emit(&hub, i)).collect()
+        };
+        (hub, out)
+    }
+
     #[test]
     fn full_buffer_flushes_mid_launch() {
-        // Both spine modes spill at the same stream offset; the buffered
-        // tail is invisible to the processor until the next flush point.
-        let flush_events = SpineConfig::default().batch_events;
-        for mode in [SpineMode::Ring, SpineMode::Inline] {
-            let hub = new_shared(space_counter_processor());
-            let mut sink = HubSink::with_spine(Arc::clone(&hub), mode, SpineConfig::default());
-            sink.on_kernel_begin(&ctx());
-            for _ in 0..(flush_events + 10) {
-                sink.on_batch(&ctx(), &batch(MemSpace::Global));
+        // Every sink spills at the same stream offset whether it emits
+        // alone or races a sink on the other device; the buffered tail is
+        // invisible to the processor until the next flush point.
+        let emit = |hub: &SharedHub, i: usize| {
+            let ctx = ctx_on(i as u32);
+            let mut sink = HubSink::new(Arc::clone(hub));
+            sink.on_kernel_begin(&ctx);
+            for _ in 0..(FLUSH_EVENTS + 10) {
+                sink.on_batch(&ctx, &batch(MemSpace::Global));
             }
-            assert_eq!(sink.buffered(), 10, "one full buffer spilled mid-launch");
-            assert_eq!(
-                hub.events_processed() as usize,
-                1 + flush_events,
-                "{mode:?}"
-            );
-        }
+            let buffered = sink.buffered();
+            let seen = hub.shard_for(ctx.device).lock().events_processed();
+            (buffered, seen)
+        };
+        let (_, sequential) = run_emitters(false, 2, emit);
+        let (_, racing) = run_emitters(true, 2, emit);
+        assert_eq!(sequential, vec![(10, 1 + FLUSH_EVENTS as u64); 2]);
+        assert_eq!(racing, sequential);
     }
 
     #[test]
@@ -1284,22 +1157,24 @@ mod tests {
         // device, the events still buffered for the orphaned launch must
         // flush to the *old* device's shard — they were observed there.
         // Silently re-routing them to the new shard would corrupt both
-        // devices' per-shard state. Pinned for both spine modes.
-        for mode in [SpineMode::Ring, SpineMode::Inline] {
-            let hub = sharded_hub(2);
-            let mut sink = HubSink::with_spine(Arc::clone(&hub), mode, SpineConfig::default());
+        // devices' per-shard state. Pinned with two sinks racing the same
+        // orphan-then-rebind stream against the same two sinks run alone.
+        let emit = |hub: &SharedHub, _: usize| {
+            let mut sink = HubSink::new(Arc::clone(hub));
             let orphan = ctx_on(0);
             sink.on_kernel_begin(&orphan);
             sink.on_batch(&orphan, &batch(MemSpace::Global));
             sink.on_batch(&orphan, &batch(MemSpace::Shared));
-            assert!(sink.buffered() > 0, "leftovers pending at rebind time");
+            let pending = sink.buffered();
             // No on_kernel_end for the orphan: the next launch (device 1)
             // triggers the rebind path's leftover flush.
             let next = ctx_on(1);
             sink.on_kernel_begin(&next);
             sink.on_kernel_end(&next, &KernelTraceSummary::default());
-            let per_shard: Vec<(u64, u64)> = hub
-                .shards()
+            pending
+        };
+        let per_shard = |hub: &SharedHub| -> Vec<(u64, u64)> {
+            hub.shards()
                 .iter()
                 .map(|s| {
                     s.lock()
@@ -1307,13 +1182,45 @@ mod tests {
                         .with_tool_mut("spaces", |t: &mut SpaceCounter| (t.global, t.shared))
                         .unwrap()
                 })
-                .collect();
-            assert_eq!(
-                per_shard,
-                vec![(1, 1), (0, 0)],
-                "{mode:?}: orphaned launch's events belong to gpu0's shard"
-            );
-        }
+                .collect()
+        };
+        let (hub, pending) = run_emitters(false, 2, emit);
+        assert_eq!(pending, vec![2, 2], "leftovers pending at rebind time");
+        let sequential = per_shard(&hub);
+        assert_eq!(
+            sequential,
+            vec![(2, 2), (0, 0)],
+            "orphaned launches' events belong to gpu0's shard"
+        );
+        let (hub, _) = run_emitters(true, 2, emit);
+        assert_eq!(per_shard(&hub), sequential);
+    }
+
+    #[test]
+    fn panicking_sink_parks_its_tail_for_the_next_lock() {
+        // A sink dropped mid-unwind runs no tool code: its partial buffers
+        // wait on the shard until the next lock or quiesce processes them.
+        let hub = sharded_hub(2);
+        let emitter = Arc::clone(&hub);
+        let unwound = std::panic::catch_unwind(AssertUnwindSafe(move || {
+            let mut sink = HubSink::new(emitter);
+            let ctx = ctx_on(1);
+            sink.on_kernel_begin(&ctx);
+            sink.on_batch(&ctx, &batch(MemSpace::Global));
+            sink.on_batch(&ctx, &batch(MemSpace::Shared));
+            sink.on_barriers(&ctx, 3);
+            panic!("lane dies mid-launch");
+        }));
+        assert!(unwound.is_err());
+        let shard = hub.shard_for(DeviceId(1));
+        assert_eq!(shard.processor.lock().events_processed(), 1, "tail parked");
+        assert_eq!(hub.quiesce(), 3, "quiesce processes the parked tail");
+        assert_eq!(hub.quiesce(), 0, "and leaves nothing behind");
+        let spaces = shard
+            .lock()
+            .tools
+            .with_tool_mut("spaces", |t: &mut SpaceCounter| (t.global, t.shared));
+        assert_eq!(spaces, Some((1, 1)));
     }
 
     #[test]

@@ -70,7 +70,6 @@ pub mod processor;
 pub mod profiler;
 pub mod range;
 pub mod report;
-pub mod spine;
 pub mod tool;
 pub mod workload;
 
@@ -85,7 +84,6 @@ pub use processor::{EventProcessor, EventRecorder};
 pub use profiler::{BackendChoice, ParallelConfig, Pasta, PastaBuilder, PastaSession, UvmSetup};
 pub use range::RangeFilter;
 pub use report::{MergedReport, SessionReport, ToolQuarantine, ToolReport, UvmReport};
-pub use spine::{EventRing, SpineConfig, SpineDrainer, SpineMode, SpineMsg};
 pub use tool::{Interest, Tool, ToolCollection};
 pub use workload::{
     FnWorkload, KernelSweepWorkload, ModelWorkload, Workload, WorkloadCx, WorkloadStats,

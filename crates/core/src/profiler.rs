@@ -22,7 +22,6 @@ use crate::knob::{KernelAggregate, Knob};
 use crate::processor::EventProcessor;
 use crate::range::RangeFilter;
 use crate::report::{MergedReport, SessionReport, ToolQuarantine, ToolReport, UvmReport};
-use crate::spine::{SpineConfig, SpineDrainer, SpineMode};
 use crate::tool::Tool;
 use crate::workload::{ModelWorkload, Workload, WorkloadCx};
 use accel_sim::instrument::ProfilerHandle;
@@ -180,15 +179,15 @@ pub struct ParallelConfig {
     /// Lane worker threads for `run_parallel`/`run_parallel_each`: lanes
     /// are multiplexed onto at most this many pooled workers (named
     /// `lane-dev{N}` after their first lane) instead of one thread per
-    /// device. Idle workers absorb spine-drain duty.
+    /// device.
     pub max_lane_threads: usize,
     /// Worker threads for the session-end merge plan (tool folds across
     /// shards, forked UVM managers) — the tree reduction in
     /// [`crate::merge`], workers named `merge-{k}`.
     pub max_merge_threads: usize,
-    /// Background spine-drainer threads for `run_parallel` (named
-    /// `drain-dev{N}`); each services an interleaved slice of the lane
-    /// devices instead of one thread per device.
+    /// Inert: sinks drain under their shard's lock on the emission path,
+    /// so no drainer threads exist. Kept so existing struct literals
+    /// still compile; setting it changes nothing.
     pub max_drain_threads: usize,
 }
 
@@ -202,8 +201,6 @@ pub struct PastaBuilder {
     range: RangeFilter,
     capture_knob: Option<Knob>,
     uvm: Option<UvmSetup>,
-    spine_mode: SpineMode,
-    spine_config: SpineConfig,
     parallel: ParallelConfig,
 }
 
@@ -218,8 +215,6 @@ impl Default for PastaBuilder {
             range: RangeFilter::all(),
             capture_knob: Some(Knob::MaxMemReferencedKernel),
             uvm: None,
-            spine_mode: SpineMode::Ring,
-            spine_config: SpineConfig::default(),
             parallel: ParallelConfig::default(),
         }
     }
@@ -317,24 +312,6 @@ impl PastaBuilder {
         self
     }
 
-    /// How sinks hand fine-grained events to their shard:
-    /// [`SpineMode::Ring`] (the default lock-free SPSC spine) or
-    /// [`SpineMode::Inline`] (the mutex-spine reference — kept for
-    /// differential byte-identity tests and bench decompositions).
-    pub fn spine_mode(mut self, mode: SpineMode) -> Self {
-        self.spine_mode = mode;
-        self
-    }
-
-    /// Ring geometry for the event spine (slots per ring, preallocated
-    /// batch buffers, events per batch). Applies to the session's own
-    /// sink and to every per-lane sink `run_parallel` creates. Validated
-    /// at [`PastaBuilder::build`]: rings need at least 2 slots.
-    pub fn spine_config(mut self, config: SpineConfig) -> Self {
-        self.spine_config = config;
-        self
-    }
-
     /// Thread budgets for parallel regions and the session-end merge —
     /// see [`ParallelConfig`].
     pub fn parallel(mut self, config: ParallelConfig) -> Self {
@@ -347,22 +324,9 @@ impl PastaBuilder {
     /// # Errors
     ///
     /// [`PastaError::Config`] on an explicitly empty device list, mixed
-    /// vendors, duplicate tool names, a backend/vendor mismatch, or an
-    /// invalid spine geometry (rings need ≥ 2 slots).
+    /// vendors, duplicate tool names, or a backend/vendor mismatch.
     /// (No device selection at all defaults to one A100.)
     pub fn build(self) -> Result<PastaSession, PastaError> {
-        if self.spine_config.ring_slots < 2 {
-            return Err(PastaError::Config(format!(
-                "spine ring_slots must be at least 2 (got {}): a 1-slot ring \
-                 cannot distinguish full from empty",
-                self.spine_config.ring_slots
-            )));
-        }
-        if self.spine_config.batch_events == 0 {
-            return Err(PastaError::Config(
-                "spine batch_events must be at least 1".into(),
-            ));
-        }
         let specs = match self.specs {
             None => vec![DeviceSpec::a100_80gb()],
             Some(specs) if specs.is_empty() => {
@@ -478,11 +442,7 @@ impl PastaBuilder {
         };
 
         if let Some(handle) = &profiler {
-            handle.set_sink(Box::new(HubSink::with_spine(
-                Arc::clone(&hub),
-                self.spine_mode,
-                self.spine_config,
-            )));
+            handle.set_sink(Box::new(HubSink::new(Arc::clone(&hub))));
         }
 
         Ok(PastaSession {
@@ -494,8 +454,6 @@ impl PastaBuilder {
             backend,
             sampling_rate: self.sampling_rate,
             wants_device,
-            spine_mode: self.spine_mode,
-            spine_config: self.spine_config,
             parallel: self.parallel,
             lane_overhead: OverheadBreakdown::default(),
             lane_records: 0,
@@ -564,12 +522,6 @@ pub struct PastaSession {
     backend: BackendChoice,
     sampling_rate: u32,
     wants_device: bool,
-    /// How this session's sinks hand events to their shards (parallel
-    /// lanes inherit it).
-    spine_mode: SpineMode,
-    /// Ring geometry for every sink this session creates (parallel lanes
-    /// inherit it).
-    spine_config: SpineConfig,
     /// Thread budgets for parallel regions and the session-end merge.
     parallel: ParallelConfig,
     /// Overhead accumulated by finished parallel-lane profilers.
@@ -991,15 +943,6 @@ impl PastaSession {
         devices: &[DeviceId],
         f: impl FnOnce(&mut [DeviceLane<'_>]) -> Result<R, AccelError>,
     ) -> Result<R, PastaError> {
-        self.run_parallel_impl(devices, DrainPolicy::Background, f)
-    }
-
-    fn run_parallel_impl<R>(
-        &mut self,
-        devices: &[DeviceId],
-        drain_policy: DrainPolicy,
-        f: impl FnOnce(&mut [DeviceLane<'_>]) -> Result<R, AccelError>,
-    ) -> Result<R, PastaError> {
         if devices.is_empty() {
             return Err(PastaError::Config(
                 "parallel device list is empty: pass at least one DeviceId".into(),
@@ -1048,11 +991,7 @@ impl PastaSession {
                 }
             };
             if let Some(handle) = &handle {
-                handle.set_sink(Box::new(HubSink::with_spine(
-                    Arc::clone(&self.hub),
-                    self.spine_mode,
-                    self.spine_config,
-                )));
+                handle.set_sink(Box::new(HubSink::new(Arc::clone(&self.hub))));
             }
             // A UVM session replicates into its lanes: each lane carries a
             // manager forked from the session's (same config, budgets and
@@ -1098,26 +1037,6 @@ impl PastaSession {
             })
             .collect::<Result<_, _>>()?;
 
-        // Lane drain scheduling: with the ring spine, a bounded set of
-        // background drainers (at most `max_drain_threads`, `0` = the
-        // machine's parallelism — never more than one per device) keeps
-        // the lane shards' rings drained while the emitters run, so tool
-        // dispatch leaves the emission critical path. Pool-idle regions
-        // ([`PastaSession::run_parallel_each`]) skip the threads entirely
-        // — their idle lane workers sweep the shards instead. Inline-spine
-        // (or host-only) sessions also skip them: there is nothing to
-        // drain off-path. Either way the spine's producer-side
-        // backpressure keeps the path lossless without any drainer.
-        let drain_width = if self.parallel.max_drain_threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.parallel.max_drain_threads
-        };
-        let drainer = (self.wants_device
-            && self.spine_mode == SpineMode::Ring
-            && drain_policy == DrainPolicy::Background)
-            .then(|| SpineDrainer::start_bounded(Arc::clone(&self.hub), devices, drain_width));
-
         // The orchestration closure is contained like a lane: a panic
         // unwinding out of it (or out of an unguarded thread it joined)
         // becomes a typed failure, and the harvest below still runs so the
@@ -1135,16 +1054,6 @@ impl PastaSession {
             lane.session.synchronize();
         }
         drop(lanes);
-        // Stop the drainers, then make every pushed event visible before
-        // the harvest below — lane sinks were dropped with the contexts
-        // further down, but their rings stay registered until drained
-        // empty, so a panicked lane's events still reach the salvaged
-        // report. (Contexts drop after the quiesce-on-lock harvest paths
-        // run; the explicit quiesce here covers everything pushed so far.)
-        if let Some(drainer) = drainer {
-            drainer.stop();
-        }
-        self.hub.quiesce();
         // Harvest the lane UVM managers and fold them into the session
         // manager in ascending device id — the same deterministic order
         // as the session-end tool merge, regardless of the order the
@@ -1193,10 +1102,10 @@ impl PastaSession {
             self.lane_overhead.setup_ns += b.setup_ns;
             self.lane_records += handle.records_total();
         }
-        // Lane sinks die with their contexts; a ring-mode sink's Drop
-        // spills partial spill buffers onto its rings (even for a lane
-        // that panicked mid-launch). Quiesce afterwards so that tail is
-        // visible to the salvaged report `salvage` may build below.
+        // Lane sinks die with their contexts and drain their partial spill
+        // buffers; a sink a panicking lane dropped mid-unwind parked its
+        // tail instead. Quiesce so that tail reaches the salvaged report
+        // `salvage` may build below.
         drop(contexts);
         self.hub.quiesce();
         result.map_err(|e| self.salvage(e))
@@ -1210,11 +1119,8 @@ impl PastaSession {
     /// Lanes are multiplexed onto at most
     /// [`ParallelConfig::max_lane_threads`] pooled workers (named
     /// `lane-dev{N}` after the first lane each runs), so a 256-device
-    /// region costs a handful of OS threads, not 256. No background
-    /// drainer threads are spawned either: a pool worker that runs out of
-    /// lanes sweeps the lane shards' spine rings until the stragglers
-    /// finish, and the spine's producer-side backpressure covers the rest
-    /// — losslessly, so thread budgets never change the merged bytes.
+    /// region costs a handful of OS threads, not 256. Thread budgets never
+    /// change the merged bytes.
     ///
     /// `work` receives the lane's index into `devices` and the lane
     /// itself. A panicking lane becomes a [`LaneFailure`] attributed to
@@ -1234,21 +1140,9 @@ impl PastaSession {
         devices: &[DeviceId],
         work: impl Fn(usize, &mut DeviceLane<'_>) -> Result<(), AccelError> + Sync,
     ) -> Result<(), PastaError> {
-        let hub = Arc::clone(&self.hub);
-        let drain_devices: Option<Vec<DeviceId>> =
-            (self.wants_device && self.spine_mode == SpineMode::Ring).then(|| devices.to_vec());
         let pool_limit = self.parallel.max_lane_threads;
         let watermark = Arc::clone(&self.pool_watermark);
-        self.run_parallel_impl(devices, DrainPolicy::PoolIdle, |lanes| {
-            let idle = drain_devices.as_ref().map(|ds| {
-                let hub = &hub;
-                move || -> bool {
-                    ds.iter()
-                        .map(|&d| hub.shard_for(d).try_drain())
-                        .sum::<u64>()
-                        > 0
-                }
-            });
+        self.run_parallel(devices, |lanes| {
             let work = &work;
             let tasks: Vec<lane_exec::PoolTask<'_, ()>> = lanes
                 .iter_mut()
@@ -1258,16 +1152,8 @@ impl PastaSession {
                     run: Box::new(move || work(i, lane)),
                 })
                 .collect();
-            let run = lane_exec::run_pool(
-                pool_limit,
-                tasks,
-                idle.as_ref().map(|h| h as &(dyn Fn() -> bool + Sync)),
-            );
+            let run = lane_exec::run_pool(pool_limit, tasks);
             watermark.fetch_max(run.high_water, Ordering::AcqRel);
-            // An idle-hook panic (`run.idle_panic`) is contained inside
-            // the pool and the hook disarmed; correctness needs nothing
-            // more — producer-side backpressure plus the session's final
-            // quiesce drain every ring the disarmed sweeper abandoned.
             let results = run.results;
             // A contained panic is the root cause — report it ahead of
             // secondary errors surviving lanes hit because a peer died.
@@ -1282,18 +1168,6 @@ impl PastaSession {
             Ok(())
         })
     }
-}
-
-/// Who keeps the spine rings drained while a parallel region's lanes run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DrainPolicy {
-    /// A bounded set of dedicated drainer threads
-    /// ([`SpineDrainer::start_bounded`]) — for [`PastaSession::run_parallel`],
-    /// whose orchestration closure is opaque to the session.
-    Background,
-    /// No drainer threads: the caller's lane pool sweeps the shards from
-    /// idle workers ([`PastaSession::run_parallel_each`]).
-    PoolIdle,
 }
 
 #[cfg(test)]

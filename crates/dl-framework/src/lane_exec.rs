@@ -3,8 +3,7 @@
 //!
 //! Before the scale-out rework every parallel surface spawned one OS
 //! thread per device lane — fine for the paper's 2-GPU experiments,
-//! hopeless at 256 simulated devices (2N threads once the per-device
-//! spine drainers are counted). [`run_pool`] replaces thread-per-lane
+//! hopeless at 256 simulated devices. [`run_pool`] replaces thread-per-lane
 //! everywhere lanes are *independent*: at most `max_threads` worker
 //! threads are live at once, each seeded with one lane and then claiming
 //! further lanes from a shared queue in lane order.
@@ -22,19 +21,6 @@
 //! device number — the configuration the fault-containment name test
 //! pins.
 //!
-//! **Idle duty**: a worker that finds the queue empty while siblings are
-//! still running calls the caller's `idle` hook in a backoff loop — this
-//! is how `run_parallel_each` folds spine-drainer duty into the pool
-//! instead of spawning one drainer thread per device (see
-//! `pasta_core::spine`). Emitters that outrun the idle drainers fall
-//! back to the spine's lossless producer-side drain, so a pool with no
-//! idle capacity costs correctness nothing. The hook is contained like a
-//! lane: a panicking `idle` (e.g. a spine `try_drain` tripping a
-//! poisoned lock during lane salvage) is caught, the hook is disarmed
-//! for the remainder of that pool, and the first payload is reported in
-//! [`PoolRun::idle_panic`] — it never unwinds the scoped worker, so it
-//! cannot abort sibling lanes.
-//!
 //! **Scheduling caveat**: lanes on a bounded pool must not block on each
 //! other — with fewer workers than lanes, a lane waiting for a lane that
 //! has not been scheduled yet deadlocks. Cross-lane protocols (the
@@ -44,7 +30,7 @@
 pub use accel_sim::resolve_threads;
 use accel_sim::{panic_message, AccelError, DeviceId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One lane's unit of work: the device it drives (for panic attribution
@@ -86,7 +72,7 @@ pub fn reset_pool_high_water() {
 }
 
 /// What one [`run_pool`] call produced: the per-task results plus the
-/// pool's own concurrency and fault diagnostics.
+/// pool's own concurrency high water.
 #[derive(Debug)]
 pub struct PoolRun<T> {
     /// Per-task results, **in task order** (lane order everywhere this
@@ -96,11 +82,6 @@ pub struct PoolRun<T> {
     /// per-pool counterpart of the process-global [`pool_high_water`],
     /// immune to contamination from other pools running in parallel.
     pub high_water: usize,
-    /// Payload of the first `idle`-hook panic, if any. The panic was
-    /// contained and the hook disarmed for the remainder of the pool
-    /// (idle workers fell back to plain backoff); lane results are
-    /// unaffected.
-    pub idle_panic: Option<String>,
 }
 
 /// Runs every task on a bounded worker pool and returns the per-task
@@ -110,27 +91,17 @@ pub struct PoolRun<T> {
 ///
 /// At most `resolve_threads(max_threads).min(tasks.len())` worker
 /// threads exist at any moment. Worker `w` is seeded with task `w` and
-/// named `lane-dev{N}` after that task's device; exhausted workers claim
-/// remaining tasks in index order, then run `idle` (if any) until every
-/// task has finished — `idle` returns whether it found work, driving a
-/// yield-then-sleep backoff.
+/// named `lane-dev{N}` after that task's device; workers then claim
+/// remaining tasks in index order until none are left.
 ///
 /// A panicking task is contained at the task boundary and surfaces as
 /// [`AccelError::LanePanic`] for its device; remaining tasks still run.
-/// A panicking `idle` hook is likewise contained: the hook is disarmed
-/// for the rest of this pool and the first payload is reported in
-/// [`PoolRun::idle_panic`] instead of unwinding the pool scope.
-pub fn run_pool<'a, T: Send>(
-    max_threads: usize,
-    tasks: Vec<PoolTask<'a, T>>,
-    idle: Option<&(dyn Fn() -> bool + Sync)>,
-) -> PoolRun<T> {
+pub fn run_pool<'a, T: Send>(max_threads: usize, tasks: Vec<PoolTask<'a, T>>) -> PoolRun<T> {
     let n = tasks.len();
     if n == 0 {
         return PoolRun {
             results: Vec::new(),
             high_water: 0,
-            idle_panic: None,
         };
     }
     let workers = resolve_threads(max_threads).min(n);
@@ -140,11 +111,8 @@ pub fn run_pool<'a, T: Send>(
     let results: Vec<Mutex<Option<Result<T, AccelError>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(workers);
-    let done = AtomicUsize::new(0);
     let live = AtomicUsize::new(0);
     let pool_high = AtomicUsize::new(0);
-    let idle_armed = AtomicBool::new(true);
-    let idle_panic: Mutex<Option<String>> = Mutex::new(None);
 
     let run_task = |i: usize| {
         // A poisoned slot mutex is unreachable: the take happens before
@@ -167,63 +135,20 @@ pub fn run_pool<'a, T: Send>(
         if let Ok(mut slot) = results[i].lock() {
             *slot = Some(result);
         }
-        done.fetch_add(1, Ordering::Release);
     };
 
     std::thread::scope(|scope| {
         for (w, seed_device) in devices.iter().enumerate().take(workers) {
-            let run_task = &run_task;
-            let (next, done) = (&next, &done);
-            let (idle_armed, idle_panic) = (&idle_armed, &idle_panic);
+            let (run_task, next) = (&run_task, &next);
             // Thread spawning fails only on resource exhaustion, where
             // the unnamed `Scope::spawn` this replaces would panic too.
             std::thread::Builder::new()
                 .name(format!("lane-dev{}", seed_device.index()))
                 .spawn_scoped(scope, move || {
-                    run_task(w);
-                    loop {
-                        let claim = next.fetch_add(1, Ordering::SeqCst);
-                        if claim < n {
-                            run_task(claim);
-                            continue;
-                        }
-                        // Queue exhausted: fold idle duty (spine
-                        // draining) into this worker until the last
-                        // sibling finishes its lane. The hook runs under
-                        // its own catch_unwind — a panic here would
-                        // otherwise unwind the scoped worker and abort
-                        // the whole pool scope, taking sibling lanes
-                        // down with it. First panic disarms the hook for
-                        // this pool; the spine's producer-side drain
-                        // keeps the path lossless without it.
-                        let Some(idle) = idle else { break };
-                        let mut idle_beats = 0u32;
-                        while done.load(Ordering::Acquire) < n {
-                            let found = idle_armed.load(Ordering::Acquire)
-                                && match catch_unwind(AssertUnwindSafe(idle)) {
-                                    Ok(found) => found,
-                                    Err(payload) => {
-                                        idle_armed.store(false, Ordering::Release);
-                                        if let Ok(mut slot) = idle_panic.lock() {
-                                            slot.get_or_insert_with(|| {
-                                                panic_message(payload.as_ref())
-                                            });
-                                        }
-                                        false
-                                    }
-                                };
-                            if found {
-                                idle_beats = 0;
-                            } else {
-                                idle_beats = idle_beats.saturating_add(1);
-                                if idle_beats < 16 {
-                                    std::thread::yield_now();
-                                } else {
-                                    std::thread::sleep(std::time::Duration::from_micros(50));
-                                }
-                            }
-                        }
-                        break;
+                    let mut claim = w;
+                    while claim < n {
+                        run_task(claim);
+                        claim = next.fetch_add(1, Ordering::SeqCst);
                     }
                 })
                 .expect("spawn lane worker");
@@ -248,9 +173,6 @@ pub fn run_pool<'a, T: Send>(
     PoolRun {
         results,
         high_water: pool_high.into_inner(),
-        idle_panic: idle_panic
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
     }
 }
 
@@ -273,7 +195,7 @@ mod tests {
         for threads in [1, 2, 3, 16] {
             let tasks: Vec<PoolTask<'_, u32>> =
                 (0..7).map(|i| task(i, move || Ok(i * 10))).collect();
-            let out = run_pool(threads, tasks, None);
+            let out = run_pool(threads, tasks);
             let values: Vec<u32> = out.results.into_iter().map(|r| r.unwrap()).collect();
             assert_eq!(values, vec![0, 10, 20, 30, 40, 50, 60], "threads={threads}");
         }
@@ -286,7 +208,7 @@ mod tests {
             task(1, || panic!("fault-injection: pooled lane dies")),
             task(2, || Ok(3)),
         ];
-        let out = run_pool(1, tasks, None).results;
+        let out = run_pool(1, tasks).results;
         assert_eq!(*out[0].as_ref().unwrap(), 1);
         match &out[1] {
             Err(AccelError::LanePanic { device, payload }) => {
@@ -315,7 +237,7 @@ mod tests {
                 })
             })
             .collect();
-        let out = run_pool(3, tasks, None);
+        let out = run_pool(3, tasks);
         assert!(out.results.iter().all(Result::is_ok));
         assert!(max.load(Ordering::SeqCst) <= 3, "budget exceeded");
         assert!(
@@ -346,7 +268,7 @@ mod tests {
                                 })
                             })
                             .collect();
-                        run_pool(2, tasks, None)
+                        run_pool(2, tasks)
                     })
                 })
                 .collect();
@@ -360,62 +282,5 @@ mod tests {
                 run.high_water
             );
         }
-    }
-
-    #[test]
-    fn idle_hook_runs_while_stragglers_finish() {
-        let idle_calls = AtomicUsize::new(0);
-        let tasks = vec![
-            task(0, || {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                Ok(0)
-            }),
-            task(1, || Ok(1)),
-        ];
-        let hook = || {
-            idle_calls.fetch_add(1, Ordering::SeqCst);
-            false
-        };
-        let out = run_pool(2, tasks, Some(&hook));
-        assert!(out.results.iter().all(Result::is_ok));
-        assert!(
-            idle_calls.load(Ordering::SeqCst) > 0,
-            "idle worker never drained"
-        );
-        assert_eq!(out.idle_panic, None);
-    }
-
-    /// Regression (ISSUE 10): a panicking idle hook used to unwind the
-    /// scoped worker and abort the whole pool scope, killing sibling
-    /// lanes that were mid-flight. Now the panic is contained, the hook
-    /// is disarmed for the rest of the pool, and every lane result
-    /// survives.
-    #[test]
-    fn idle_hook_panic_is_contained_and_disarms_the_hook() {
-        let idle_calls = AtomicUsize::new(0);
-        let tasks = vec![
-            task(0, || {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                Ok(0)
-            }),
-            task(1, || Ok(1)),
-        ];
-        let hook = || -> bool {
-            idle_calls.fetch_add(1, Ordering::SeqCst);
-            panic!("fault-injection: idle drain dies");
-        };
-        let out = run_pool(2, tasks, Some(&hook));
-        assert!(
-            out.results.iter().all(Result::is_ok),
-            "lane results must survive an idle-hook panic: {:?}",
-            out.results
-        );
-        assert_eq!(
-            idle_calls.load(Ordering::SeqCst),
-            1,
-            "first panic must disarm the hook for the rest of the pool"
-        );
-        let payload = out.idle_panic.expect("idle panic reported");
-        assert!(payload.contains("idle drain dies"), "{payload}");
     }
 }

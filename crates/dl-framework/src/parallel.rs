@@ -7,15 +7,11 @@
 //! framework [`Session`] pinned to one device), so tensor traffic,
 //! operator brackets and fine-grained device events from different GPUs
 //! really do race into the profiling layer — which the per-device hub
-//! shards absorb without a shared lock. Since the lock-free spine rework
-//! the lane threads do not even take their own shard's lock on the hot
-//! path: sinks push batched spills onto SPSC rings that background
-//! drainers consume off the emission critical path (with the
-//! producer-side backpressure fallback keeping the path lossless when a
-//! drainer falls behind — see `pasta_core::spine`). Since the scale-out
-//! rework lanes no longer get one OS thread each: independent lanes are
-//! multiplexed onto the bounded worker pool in [`lane_exec`] (budget =
-//! each lane's [`DeviceLane::set_pool_limit`], stamped by
+//! shards absorb without a shared lock: each lane's sink drains batched
+//! spills into its own device's shard. Since the scale-out rework lanes
+//! no longer get one OS thread each: independent lanes are multiplexed
+//! onto the bounded worker pool in [`lane_exec`] (budget = each lane's
+//! [`DeviceLane::set_pool_limit`], stamped by
 //! `PastaSession::run_parallel` from its `ParallelConfig`), which is what
 //! makes 256-lane runs tractable. Pipeline parallelism sequences its
 //! cross-stage activation handoffs with channels, exactly where a real
@@ -48,7 +44,6 @@ use crate::models::{ModelKind, ModelSpec, Workload};
 use crate::ops::{self, Act};
 use crate::session::Session;
 use accel_sim::{panic_message, AccelError, AccessSpec, DeviceId, Dim3, KernelBody, KernelDesc};
-use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -130,7 +125,7 @@ impl<'rt> DeviceLane<'rt> {
 }
 
 /// Parallelization strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Parallelism {
     /// Replicated model, all-reduced gradients (DP).
     Data,
@@ -168,7 +163,7 @@ pub fn megatron_345m_dims() -> LmDims {
 }
 
 /// Per-device outcome of a parallel training iteration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelReport {
     /// Strategy executed.
     pub strategy: Parallelism,
@@ -287,7 +282,7 @@ where
             run: Box::new(move || work(i, lane)),
         })
         .collect();
-    let run = lane_exec::run_pool(limit, tasks, None);
+    let run = lane_exec::run_pool(limit, tasks);
     if let Some(watermark) = lanes.iter().find_map(DeviceLane::pool_watermark) {
         watermark.fetch_max(run.high_water, Ordering::AcqRel);
     }

@@ -50,7 +50,6 @@ use crate::lane_exec;
 use crate::models::transformer::LmDims;
 use crate::parallel::{catch_lane, DeviceLane};
 use accel_sim::{AccelError, AccessSpec, DeviceId, DevicePtr, Dim3, KernelBody, KernelDesc};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
@@ -139,7 +138,7 @@ impl ServingConfig {
 }
 
 /// One serving request of the seeded trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Trace-global id; `id % lanes` is the lane assignment.
     pub id: u64,
@@ -152,7 +151,7 @@ pub struct Request {
 }
 
 /// The full seeded request stream, in arrival order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestTrace {
     /// All requests, ascending `id` and non-decreasing `arrival_step`.
     pub requests: Vec<Request>,
@@ -222,7 +221,7 @@ impl RequestTrace {
 }
 
 /// One lane's serving outcome: latency samples plus cache accounting.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaneServing {
     /// Device the lane served on.
     pub device: DeviceId,
@@ -244,7 +243,7 @@ pub struct LaneServing {
 }
 
 /// Outcome of a serving run: one entry per lane, in lane order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServingRun {
     /// Per-lane outcomes, lane order.
     pub lanes: Vec<LaneServing>,
@@ -542,7 +541,7 @@ fn dispatch(
                 run: Box::new(move || serve_lane(lane, shard, cfg, weight_owner)),
             })
             .collect();
-        let run = lane_exec::run_pool(limit, tasks, None);
+        let run = lane_exec::run_pool(limit, tasks);
         if let Some(watermark) = lanes.iter().find_map(DeviceLane::pool_watermark) {
             watermark.fetch_max(run.high_water, Ordering::AcqRel);
         }

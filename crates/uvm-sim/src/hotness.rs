@@ -6,7 +6,6 @@
 //! short-lived bursts (transient data — eviction candidates).
 
 use crate::page::{block_of_addr, BLOCK_SIZE};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Running hotness accumulator.
@@ -152,7 +151,7 @@ impl BlockHotness {
 }
 
 /// Dense (block × time-bin) hotness matrix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HotnessSeries {
     /// Block indices (rows), ascending.
     pub blocks: Vec<u64>,

@@ -66,8 +66,7 @@ pub mod prelude {
     pub use crate::core::{
         AnalysisMode, BackendChoice, FnWorkload, Interest, KernelSweepWorkload, Knob,
         ModelWorkload, ParallelConfig, Pasta, PastaBuilder, PastaError, PastaSession, RangeFilter,
-        SessionReport, SpineConfig, Tool, ToolReport, UvmSetup, Workload, WorkloadCx,
-        WorkloadStats,
+        SessionReport, Tool, ToolReport, UvmSetup, Workload, WorkloadCx, WorkloadStats,
     };
     pub use crate::dl::models::{ModelZoo, RunKind};
     pub use crate::sim::{DeviceId, DeviceSpec, Dim3, KernelBody, KernelDesc};

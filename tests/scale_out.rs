@@ -332,67 +332,3 @@ fn pooled_lane_panic_is_salvaged_and_names_its_worker() {
         .expect("survivor merged");
     assert_eq!(launches, 1.0);
 }
-
-// ---------------------------------------------------------------------------
-// SpineConfig through the builder.
-// ---------------------------------------------------------------------------
-
-/// `SpineConfig` is now a first-class builder knob: degenerate capacities
-/// are rejected at `build()` with a typed error, and a minimal legal
-/// config still produces a working session.
-#[test]
-fn builder_validates_spine_config() {
-    let err = Pasta::builder()
-        .a100()
-        .spine_config(SpineConfig {
-            ring_slots: 1,
-            ..SpineConfig::default()
-        })
-        .build()
-        .expect_err("1-slot ring must be rejected");
-    assert!(matches!(err, PastaError::Config(_)), "{err:?}");
-    assert!(err.to_string().contains("ring_slots"), "{err}");
-
-    let err = Pasta::builder()
-        .a100()
-        .spine_config(SpineConfig {
-            batch_events: 0,
-            ..SpineConfig::default()
-        })
-        .build()
-        .expect_err("0-event batches must be rejected");
-    assert!(err.to_string().contains("batch_events"), "{err}");
-
-    // The minimal legal spine (2 slots, 1-event batches) still drains.
-    let mut session = Pasta::builder()
-        .a100_x2()
-        .tool(LaunchCounter::default())
-        .spine_config(SpineConfig {
-            ring_slots: 2,
-            pool_buffers: 1,
-            batch_events: 1,
-        })
-        .build()
-        .expect("minimal spine builds");
-    session
-        .run_parallel_each(&devices(2), |_i, lane| {
-            let s = &mut lane.session;
-            let t = s.alloc_tensor(&[1024], pasta::dl::dtype::DType::F32)?;
-            s.launch(
-                KernelDesc::new("tiny_spine", Dim3::linear(2), Dim3::linear(64))
-                    .arg(t.ptr, t.bytes)
-                    .body(KernelBody::streaming(t.bytes, 0)),
-            )?;
-            s.free_tensor(&t);
-            Ok(())
-        })
-        .expect("minimal spine run completes");
-    let launches = session
-        .merged_report()
-        .tools
-        .iter()
-        .find(|r| r.tool == "launch-counter")
-        .and_then(|r| r.get("launches"))
-        .expect("counter merged");
-    assert_eq!(launches, 2.0);
-}

@@ -1,39 +1,33 @@
-//! Lock-free event spine stress suite (ISSUE 8).
+//! Event spine suite.
 //!
-//! The SPSC rings between `HubSink`s and `DeviceShard`s are exercised
-//! here end to end, under geometries small enough that every launch hits
-//! wraparound and full-ring backpressure many times over. The oracle
-//! throughout is the mutex-spine (`SpineMode::Inline`) reference: same
-//! input stream, byte-identical merged reports, and — for the recorder
-//! tests — the *exact same event sequence* delivered to each shard's
-//! processor, each event exactly once.
+//! There is one spine: a `HubSink` drains its per-class spill buffers
+//! into its shard's `EventProcessor` under the shard lock, on the
+//! emission path. The oracle throughout is a single-threaded run of the
+//! same input stream: racing emitters must merge byte-identically to it,
+//! and — for the recorder test — deliver the *exact same event sequence*
+//! to each shard's processor, each event exactly once.
 //!
-//! Run with `--test-threads=1` in CI: the stress tests spawn their own
+//! The one path that does not drain inline is a sink dropped while its
+//! thread panics: it parks its partial buffers on the shard, and the next
+//! lock or `Hub::quiesce` processes them. The panicking-lane and
+//! conservation tests pin that no event is lost or left pending.
+//!
+//! Run with `--test-threads=1` in CI: the racing tests spawn their own
 //! emitter threads and time-share poorly with sibling tests.
 
 use pasta::core::hub::{Hub, HubSink, SharedHub};
 use pasta::core::processor::{EventProcessor, EventRecorder};
 use pasta::core::report::MergedReport;
-use pasta::core::spine::{SpineConfig, SpineDrainer, SpineMode};
 use pasta::core::tool::{Interest, LaunchCounter, Tool};
-use pasta::core::{Event, Pasta, PastaSession};
+use pasta::core::{Event, EventClass, Pasta, PastaError, PastaSession};
 use pasta::prelude::*;
 use pasta::sim::instrument::{DeviceTraceSink, TraceCtx};
 use pasta::sim::{
     AccessBatch, AccessKind, AccessPattern, DeviceId, KernelTraceSummary, LaunchId, MemSpace,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-
-/// A geometry so small every test launch wraps the ring and exhausts the
-/// buffer pool repeatedly — wraparound and backpressure on every path.
-fn tiny() -> SpineConfig {
-    SpineConfig {
-        ring_slots: 2,
-        pool_buffers: 1,
-        batch_events: 3,
-    }
-}
 
 /// Order-independent aggregate of everything the fine path delivers.
 #[derive(Debug, Default)]
@@ -128,11 +122,12 @@ fn batch(launch: u64, i: u64) -> AccessBatch {
     }
 }
 
-/// One device's deterministic stream through a sink with the given spine.
-fn drive_device(hub: &SharedHub, mode: SpineMode, config: SpineConfig, device: u32, launches: u64) {
-    let mut sink = HubSink::with_spine(Arc::clone(hub), mode, config);
+/// One emitter's deterministic stream into `device`'s shard. Launch ids
+/// are unique per (device, emitter) so racing emitters never share one.
+fn drive_device(hub: &SharedHub, device: u32, emitter: u64, launches: u64) {
+    let mut sink = HubSink::new(Arc::clone(hub));
     for l in 0..launches {
-        let launch = u64::from(device) * 10_000 + l;
+        let launch = u64::from(device) * 10_000 + emitter * 1_000 + l;
         let ctx = ctx(device, launch);
         sink.on_kernel_begin(&ctx);
         for i in 0..200 {
@@ -145,100 +140,67 @@ fn drive_device(hub: &SharedHub, mode: SpineMode, config: SpineConfig, device: u
     }
 }
 
-fn merged_after(
-    devices: u32,
-    launches: u64,
-    mode: SpineMode,
-    config: SpineConfig,
-    concurrent: bool,
-) -> MergedReport {
+/// `emitters` streams per device into a fresh hub — all racing on their
+/// own threads, or one after another on this thread.
+fn merged_after(devices: u32, emitters: u64, launches: u64, racing: bool) -> MergedReport {
     let hub = sharded_hub(devices);
-    if concurrent {
+    if racing {
         std::thread::scope(|scope| {
             for d in 0..devices {
-                let hub = &hub;
-                scope.spawn(move || drive_device(hub, mode, config, d, launches));
+                for e in 0..emitters {
+                    let hub = &hub;
+                    scope.spawn(move || drive_device(hub, d, e, launches));
+                }
             }
         });
     } else {
         for d in 0..devices {
-            drive_device(&hub, mode, config, d, launches);
+            for e in 0..emitters {
+                drive_device(&hub, d, e, launches);
+            }
         }
     }
-    hub.quiesce();
+    assert_eq!(hub.quiesce(), 0, "a run without panics parks nothing");
     hub.merged_report()
 }
 
-/// Full-ring backpressure + pool exhaustion under concurrency, with no
-/// background drainer: producers must fall back to draining their own
-/// shard (lossless, never dropping) and still match the mutex reference.
+/// Racing emitters — one per device, then two per device contending on
+/// each shard lock — merge byte-identically to the single-threaded run of
+/// the same streams.
 #[test]
-fn tiny_ring_wraparound_matches_inline_reference() {
-    let reference = merged_after(2, 12, SpineMode::Inline, SpineConfig::default(), false);
-    for _ in 0..3 {
-        let ringed = merged_after(2, 12, SpineMode::Ring, tiny(), true);
-        assert_eq!(
-            ringed, reference,
-            "ring spine under wraparound/backpressure must merge byte-identically"
-        );
+fn concurrent_emitters_match_single_threaded_reference() {
+    for emitters in [1, 2] {
+        let reference = merged_after(2, emitters, 12, false);
+        for _ in 0..3 {
+            assert_eq!(
+                merged_after(2, emitters, 12, true),
+                reference,
+                "{emitters} racing emitter(s) per device must merge byte-identically"
+            );
+        }
     }
 }
 
-/// Single-threaded producer with nobody draining: every ring-full push
-/// takes the producer-side drain fallback. Exact event accounting.
-#[test]
-fn producer_drain_fallback_is_lossless() {
-    let hub = sharded_hub(1);
-    drive_device(&hub, SpineMode::Ring, tiny(), 0, 5);
-    hub.quiesce();
-    let report = hub.merged_report();
-    let agg = &report.tools[0];
-    assert_eq!(agg.get("launches"), Some(5.0));
-    assert_eq!(agg.get("batches"), Some(5.0 * 200.0));
-    assert_eq!(agg.get("records"), Some(5.0 * 200.0 * 16.0));
-    assert_eq!(agg.get("barriers"), Some(5.0 * 8.0 * 2.0));
-}
-
 /// A sink dropped mid-launch (kernel-end never arrives) must surface its
-/// buffered events after a quiesce — nothing is stranded in the ring.
+/// buffered events — nothing is stranded in the sink.
 #[test]
 fn drop_mid_stream_events_surface_after_quiesce() {
     let hub = sharded_hub(1);
     {
-        let mut sink = HubSink::with_spine(Arc::clone(&hub), SpineMode::Ring, tiny());
+        let mut sink = HubSink::new(Arc::clone(&hub));
         let ctx = ctx(0, 42);
         sink.on_kernel_begin(&ctx);
         for i in 0..7 {
             sink.on_batch(&ctx, &batch(42, i));
         }
-        // Dropped here: partial buffers spill to the ring and it closes.
+        // Dropped here: partial buffers drain into the shard.
     }
     hub.quiesce();
     let report = hub.merged_report();
     let agg = &report.tools[0];
     assert_eq!(agg.get("launches"), Some(1.0));
     assert_eq!(agg.get("batches"), Some(7.0), "no event lost at drop");
-    // The closed, drained ring is pruned; later harvests see a quiet hub.
     assert_eq!(hub.quiesce(), 0, "nothing left after the first quiesce");
-}
-
-/// Background drainers (the `run_parallel` scheduling) racing concurrent
-/// producers: merged output still byte-identical to the reference.
-#[test]
-fn background_drainer_matches_inline_reference() {
-    let reference = merged_after(2, 12, SpineMode::Inline, SpineConfig::default(), false);
-    let hub = sharded_hub(2);
-    let devices = [DeviceId(0), DeviceId(1)];
-    let drainer = SpineDrainer::start(Arc::clone(&hub), &devices);
-    std::thread::scope(|scope| {
-        for d in 0..2 {
-            let hub = &hub;
-            scope.spawn(move || drive_device(hub, SpineMode::Ring, tiny(), d, 12));
-        }
-    });
-    drainer.stop();
-    hub.quiesce();
-    assert_eq!(hub.merged_report(), reference);
 }
 
 /// Records every event a shard's processor observes, in order.
@@ -253,94 +215,108 @@ impl EventRecorder for CollectingRecorder {
     }
 }
 
-fn recording_hub() -> (SharedHub, Arc<Mutex<Vec<Event>>>) {
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let mut p = EventProcessor::new();
-    p.tools.register(Box::<FineAggregator>::default());
-    p.set_recorder(Box::new(CollectingRecorder {
-        seen: Arc::clone(&seen),
-    }));
-    let hub = Arc::new(Hub::sharded(vec![(DeviceId(0), p)]).unwrap());
-    (hub, seen)
+/// Each shard's recorded stream after one emitter per device ran, racing
+/// or one after another.
+fn recorded_streams(racing: bool) -> Vec<Vec<Event>> {
+    let hub = sharded_hub(2);
+    let seen: Vec<Arc<Mutex<Vec<Event>>>> = (0..2).map(|_| Arc::default()).collect();
+    hub.attach_recorders(|device| {
+        Box::new(CollectingRecorder {
+            seen: Arc::clone(&seen[device.index()]),
+        })
+    });
+    if racing {
+        std::thread::scope(|scope| {
+            for d in 0..2 {
+                let hub = &hub;
+                scope.spawn(move || drive_device(hub, d, 0, 4));
+            }
+        });
+    } else {
+        for d in 0..2 {
+            drive_device(&hub, d, 0, 4);
+        }
+    }
+    hub.quiesce();
+    seen.iter().map(|s| s.lock().unwrap().clone()).collect()
 }
 
-/// Trace recorders observe the exact same event sequence — each event
-/// exactly once, same order — whether the spine is the ring or the mutex.
-/// Sequential emission with a shared batch size makes the streams
-/// comparable event for event.
+/// Trace recorders observe the exact same event sequence per shard — each
+/// event exactly once, same order — whether the devices' emitters race or
+/// run one after another.
 #[test]
-fn recorder_sees_identical_stream_on_both_spines() {
-    let mut streams = Vec::new();
-    for mode in [SpineMode::Ring, SpineMode::Inline] {
-        let (hub, seen) = recording_hub();
-        // Ring uses the default batch_events so flush points line up with
-        // the inline reference; slots/pool stay tiny to force wraparound.
-        let config = SpineConfig {
-            ring_slots: 2,
-            pool_buffers: 1,
-            ..SpineConfig::default()
-        };
-        drive_device(&hub, mode, config, 0, 4);
-        hub.quiesce();
-        let events = seen.lock().unwrap().clone();
-        assert!(!events.is_empty());
-        streams.push(events);
+fn recorder_sees_identical_stream_under_racing_emitters() {
+    let reference = recorded_streams(false);
+    assert!(reference.iter().all(|s| !s.is_empty()));
+    for _ in 0..3 {
+        assert_eq!(
+            recorded_streams(true),
+            reference,
+            "racing emitters must deliver the identical per-shard sequence"
+        );
     }
-    assert_eq!(
-        streams[0], streams[1],
-        "ring spine must deliver the identical event sequence"
-    );
+}
+
+/// Replays `script` (launch device, end-parity, ops) through one sink.
+/// Launches with odd parity never end — the drop/rebind path has to
+/// account for their events.
+fn replay_script(hub: &SharedHub, script: &[(u32, u64, Vec<bool>)], launch_base: u64) {
+    let mut sink = HubSink::new(Arc::clone(hub));
+    for (li, (device, parity, ops)) in script.iter().enumerate() {
+        let launch = u64::from(*device) * 10_000 + launch_base + li as u64;
+        let c = ctx(*device, launch);
+        sink.on_kernel_begin(&c);
+        for (i, is_batch) in ops.iter().enumerate() {
+            if *is_batch {
+                sink.on_batch(&c, &batch(launch, i as u64));
+            } else {
+                sink.on_barriers(&c, 1 + i as u64 % 3);
+            }
+        }
+        if parity % 2 == 0 {
+            sink.on_kernel_end(&c, &KernelTraceSummary::default());
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random launch/batch/barrier scripts replayed on both spines under
-    /// the tiny geometry: merged reports stay byte-identical, so no
-    /// interleaving of wraparound, backpressure and flush points can
-    /// lose, duplicate or reroute an event.
+    /// Random launch/batch/barrier scripts split across two racing
+    /// emitter threads merge byte-identically to one sink replaying the
+    /// whole script on this thread, so no interleaving of flush points,
+    /// rebinds and unfinished launches can lose, duplicate or reroute an
+    /// event.
     #[test]
-    fn random_scripts_merge_identically_on_both_spines(
+    fn random_scripts_merge_identically_across_emitter_threads(
         script in prop::collection::vec(
             (0u32..2, 1u64..12, prop::collection::vec(any::<bool>(), 0..20)),
             1..8,
         )
     ) {
-        let mut reports = Vec::new();
-        for mode in [SpineMode::Ring, SpineMode::Inline] {
-            let hub = sharded_hub(2);
-            let config = if mode == SpineMode::Ring { tiny() } else { SpineConfig::default() };
-            let mut sink = HubSink::with_spine(Arc::clone(&hub), mode, config);
-            for (li, (device, _, ops)) in script.iter().enumerate() {
-                let launch = u64::from(*device) * 10_000 + li as u64;
-                let c = ctx(*device, launch);
-                sink.on_kernel_begin(&c);
-                for (i, is_batch) in ops.iter().enumerate() {
-                    if *is_batch {
-                        sink.on_batch(&c, &batch(launch, i as u64));
-                    } else {
-                        sink.on_barriers(&c, 1 + i as u64 % 3);
-                    }
-                }
-                // Odd launch counts leave some launches without an end —
-                // the drop/rebind path has to account for their events.
-                if script[li].1 % 2 == 0 {
-                    sink.on_kernel_end(&c, &KernelTraceSummary::default());
-                }
-            }
-            drop(sink);
-            hub.quiesce();
-            reports.push(hub.merged_report());
-        }
-        prop_assert_eq!(&reports[0], &reports[1]);
+        let (head, tail) = script.split_at(script.len() / 2);
+        let reference = sharded_hub(2);
+        replay_script(&reference, head, 0);
+        replay_script(&reference, tail, 1_000);
+        let racing = sharded_hub(2);
+        std::thread::scope(|scope| {
+            let hub = &racing;
+            scope.spawn(move || replay_script(hub, head, 0));
+            scope.spawn(move || replay_script(hub, tail, 1_000));
+        });
+        prop_assert_eq!(racing.quiesce(), 0);
+        prop_assert_eq!(racing.merged_report(), reference.merged_report());
     }
 }
 
-fn parallel_session(mode: SpineMode) -> PastaSession {
+fn parallel_session(max_lane_threads: usize) -> PastaSession {
     Pasta::builder()
         .a100_x2()
         .tool(LaunchCounter::default())
-        .spine_mode(mode)
+        .parallel(ParallelConfig {
+            max_lane_threads,
+            ..ParallelConfig::default()
+        })
         .build()
         .expect("session builds")
 }
@@ -364,11 +340,181 @@ fn run_lanes(session: &mut PastaSession) -> MergedReport {
     session.merged_report()
 }
 
-/// The tentpole oracle: `run_parallel` merged reports over the ring spine
-/// are byte-identical to the mutex-spine reference.
+/// `run_parallel_each` lanes racing on two pool workers merge
+/// byte-identically to the same lanes run one after another on a
+/// single worker.
 #[test]
-fn run_parallel_ring_spine_matches_mutex_reference() {
-    let reference = run_lanes(&mut parallel_session(SpineMode::Inline));
-    let ringed = run_lanes(&mut parallel_session(SpineMode::Ring));
-    assert_eq!(ringed, reference);
+fn run_parallel_each_matches_single_worker_reference() {
+    let reference = run_lanes(&mut parallel_session(1));
+    let racing = run_lanes(&mut parallel_session(2));
+    assert_eq!(racing, reference);
+}
+
+/// Batches the panicking lane emits before it dies — fewer than one
+/// flush, so all of them are still in the sink's buffers at the panic.
+const TAIL_BATCHES: u64 = 37;
+
+fn fine_session() -> PastaSession {
+    Pasta::builder()
+        .a100_x2()
+        .tool(FineAggregator::default())
+        .tool(LaunchCounter::default())
+        .build()
+        .expect("session builds")
+}
+
+/// A `run_parallel_each` whose lane 1 opens a launch on its own sink,
+/// emits [`TAIL_BATCHES`] batches and panics before kernel end; lane 0
+/// does nothing. Returns the salvaged run.
+fn run_with_panicking_tail(session: &mut PastaSession) -> pasta::core::SalvagedRun {
+    let hub = Arc::clone(session.hub());
+    let err = session
+        .run_parallel_each(&[DeviceId(0), DeviceId(1)], |i, _lane| {
+            if i == 1 {
+                let mut sink = HubSink::new(Arc::clone(&hub));
+                let c = ctx(1, 77);
+                sink.on_kernel_begin(&c);
+                for b in 0..TAIL_BATCHES {
+                    sink.on_batch(&c, &batch(77, b));
+                }
+                panic!("fault-injection: lane dies before kernel end");
+            }
+            Ok(())
+        })
+        .expect_err("the panicking lane is salvaged");
+    let PastaError::Salvaged(salvaged) = err else {
+        panic!("expected PastaError::Salvaged, got {err:?}");
+    };
+    *salvaged
+}
+
+/// No lost tail on a panicking lane: the sink dropped mid-unwind parks
+/// its unflushed batches, and the salvaged report carries exactly them.
+#[test]
+fn panicking_lane_keeps_its_unflushed_tail() {
+    let mut session = fine_session();
+    let salvaged = run_with_panicking_tail(&mut session);
+    assert_eq!(salvaged.failures.len(), 1);
+    assert_eq!(salvaged.failures[0].device, Some(DeviceId(1)));
+    let report = &salvaged.report;
+    let agg = report
+        .tools
+        .iter()
+        .find(|r| r.tool == "fine-aggregator")
+        .expect("aggregator merged");
+    assert_eq!(agg.get("launches"), Some(1.0));
+    assert_eq!(
+        agg.get("batches"),
+        Some(TAIL_BATCHES as f64),
+        "every batch the dying lane emitted reaches the salvaged report"
+    );
+    let (device, shard_tools) = &report.per_device[1];
+    assert_eq!(*device, DeviceId(1));
+    let on_shard = shard_tools.iter().find(|r| r.tool == "fine-aggregator");
+    assert_eq!(
+        on_shard.and_then(|r| r.get("batches")),
+        Some(TAIL_BATCHES as f64),
+        "the tail belongs to the device it was emitted on"
+    );
+}
+
+/// Counts every event its shard's processor counts, per class.
+#[derive(Debug)]
+struct ClassCounter {
+    counts: Arc<Mutex<HashMap<EventClass, u64>>>,
+}
+
+impl EventRecorder for ClassCounter {
+    fn record(&mut self, event: &Event) {
+        *self
+            .counts
+            .lock()
+            .unwrap()
+            .entry(event.class())
+            .or_default() += 1;
+    }
+}
+
+/// Attaches a [`ClassCounter`] to every shard; returns their tallies in
+/// ascending device order.
+fn count_classes(session: &PastaSession) -> Vec<Arc<Mutex<HashMap<EventClass, u64>>>> {
+    let tallies: Vec<Arc<Mutex<HashMap<EventClass, u64>>>> = session
+        .hub()
+        .shards()
+        .iter()
+        .map(|_| Arc::default())
+        .collect();
+    session.hub().attach_recorders(|device| {
+        Box::new(ClassCounter {
+            counts: Arc::clone(&tallies[device.index()]),
+        })
+    });
+    tallies
+}
+
+/// Nothing pending, nothing lost: `quiesce` finds no work left, and every
+/// shard's summed class admissions equal its `events_processed`.
+fn assert_conserved(
+    session: &PastaSession,
+    tallies: &[Arc<Mutex<HashMap<EventClass, u64>>>],
+    what: &str,
+) {
+    assert_eq!(session.hub().quiesce(), 0, "{what}: events left pending");
+    let mut total = 0;
+    for (shard, tally) in session.hub().shards().iter().zip(tallies) {
+        let admitted: u64 = tally.lock().unwrap().values().sum();
+        total += admitted;
+        assert_eq!(
+            admitted,
+            shard.lock().events_processed(),
+            "{what}: class admissions on {} must equal events_processed",
+            shard.device()
+        );
+    }
+    assert!(total > 0, "{what}: no events admitted at all");
+}
+
+fn launch_probe(s: &mut pasta::dl::Session<'_>) -> Result<(), pasta::sim::AccelError> {
+    let t = s.alloc_tensor(&[1 << 12], pasta::dl::dtype::DType::F32)?;
+    s.launch(
+        KernelDesc::new("conserve", Dim3::linear(4), Dim3::linear(64))
+            .arg(t.ptr, t.bytes)
+            .body(KernelBody::streaming(t.bytes, t.bytes)),
+    )?;
+    s.free_tensor(&t);
+    Ok(())
+}
+
+/// ROADMAP's conservation law, pinned on the one spine after every kind
+/// of run: `run`, `run_parallel`, `run_parallel_each`, and a salvaged
+/// `run_parallel_each` whose dying lane parked its tail.
+#[test]
+fn nothing_is_left_pending_after_any_run() {
+    let devices = [DeviceId(0), DeviceId(1)];
+    let mut session = fine_session();
+    let tallies = count_classes(&session);
+
+    let mut sweep = FnWorkload::new("conserve", |cx| {
+        launch_probe(cx.session())?;
+        Ok(WorkloadStats::new(1))
+    });
+    session.run(&mut sweep).expect("run succeeds");
+    assert_conserved(&session, &tallies, "run");
+
+    session
+        .run_parallel(&devices, |lanes| {
+            lanes
+                .iter_mut()
+                .try_for_each(|lane| launch_probe(&mut lane.session))
+        })
+        .expect("run_parallel succeeds");
+    assert_conserved(&session, &tallies, "run_parallel");
+
+    session
+        .run_parallel_each(&devices, |_i, lane| launch_probe(&mut lane.session))
+        .expect("run_parallel_each succeeds");
+    assert_conserved(&session, &tallies, "run_parallel_each");
+
+    run_with_panicking_tail(&mut session);
+    assert_conserved(&session, &tallies, "salvaged run");
 }

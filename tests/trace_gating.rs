@@ -16,7 +16,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pasta::core::hub::{Hub, HubSink};
-use pasta::core::spine::{SpineConfig, SpineMode};
 use pasta::core::tool::{Interest, Tool};
 use pasta::core::{Event, EventClass, EventProcessor, EventRecorder};
 use pasta::sim::instrument::{DeviceTraceSink, TraceCtx};
@@ -112,24 +111,14 @@ fn untraced_event_path_performs_zero_allocations() {
     );
     assert_eq!(processor.events_processed(), 3 * events.len() as u64);
 
-    // Phase 4 (ISSUE 8): the ring spine in steady state. After warmup —
-    // ring registered, batch-buffer pool primed, kernel name interned —
-    // whole launches through the SPSC path (emit, spill, push, the
-    // producer-side backpressure drain, buffer recycle) must not allocate
-    // either: every buffer the cycle touches is preallocated and comes
-    // back through the free ring.
+    // Phase 4: the sink in steady state. After warmup — spill buffers
+    // sized, kernel name interned — whole launches through the sink
+    // (emit, buffer, drain under the shard lock) must not allocate
+    // either: the spill buffers keep their capacity across flushes.
     let mut p = EventProcessor::new();
     p.tools.register(Box::<FlatCounter>::default());
     let hub = Arc::new(Hub::sharded(vec![(DeviceId(0), p)]).unwrap());
-    let mut sink = HubSink::with_spine(
-        Arc::clone(&hub),
-        SpineMode::Ring,
-        SpineConfig {
-            ring_slots: 4,
-            pool_buffers: 2,
-            batch_events: 64,
-        },
-    );
+    let mut sink = HubSink::new(Arc::clone(&hub));
     let ctx = TraceCtx {
         launch: LaunchId(1),
         device: DeviceId(0),
@@ -159,7 +148,7 @@ fn untraced_event_path_performs_zero_allocations() {
         sink.on_kernel_end(&ctx, &KernelTraceSummary::default());
     };
     for _ in 0..3 {
-        launch(&mut sink); // warmup: allocate the ring, pool, symbol
+        launch(&mut sink); // warmup: size the buffers, intern the symbol
     }
     let before = allocs();
     for _ in 0..4 {
@@ -168,7 +157,7 @@ fn untraced_event_path_performs_zero_allocations() {
     assert_eq!(
         allocs() - before,
         0,
-        "the untraced ring-spine steady state must not allocate"
+        "the untraced sink steady state must not allocate"
     );
     hub.quiesce();
     let n = hub
